@@ -16,14 +16,20 @@ ctest --preset default -j "$(nproc)"
 echo "== quick preset =="
 ctest --preset quick -j "$(nproc)"
 
+# Smoke benches run inside build/: each writes its BENCH_*.json into the
+# working directory, and a smoke record must never overwrite the committed
+# full-mode baselines at the repo root.
 echo "== listener saturation bench (smoke) =="
-./build/bench/bench_ping_concurrency --smoke
+(cd build && ./bench/bench_ping_concurrency --smoke)
 
 echo "== invoke dataplane bench (smoke: shm p50 must beat copy p50) =="
-./build/bench/bench_invoke --smoke
+(cd build && ./bench/bench_invoke --smoke)
 
-echo "== churn bench (smoke: snapshot p50 < pooled p50 < cold p50) =="
-./build/bench/bench_churn --smoke
+echo "== churn bench (smoke: cold p50 > pooled p50 and snapshot p50) =="
+(cd build && ./bench/bench_churn --smoke)
+
+echo "== end-to-end benchmark self-tests =="
+python3 e2ebench/run.py --selftest
 
 echo "== asan: configure + build + sanitizer-safe tests =="
 cmake --preset asan

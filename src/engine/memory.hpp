@@ -73,19 +73,45 @@ class LinearMemory {
 
   // ---- Pooled reuse (warm-start path) ----
   //
-  // recycle() quiesces the region for pooling: the committed prefix is
-  // decommitted (PROT_NONE) and its pages discarded (madvise MADV_DONTNEED),
-  // so the kernel guarantees zero-filled pages on the next commit — the
-  // cross-tenant isolation property pooling depends on. The reservation,
-  // guard registration and bounds directory allocation are all kept, which
-  // is exactly what makes reuse cheaper than a fresh create().
+  // recycle() quiesces the region for pooling and zeroes it — the
+  // cross-tenant isolation property pooling depends on — without touching
+  // a page-table entry. It reads the committed prefix's page flags from
+  // /proc/self/pagemap: present pages are memset to zero, swapped-out pages
+  // are discarded (MADV_DONTNEED on a non-present PTE needs no TLB
+  // shootdown), and absent pages already read as zero. The prefix stays
+  // read/write and resident while pooled (committed_bytes()), so the next
+  // tenant neither remaps nor refaults it. pagemap, not mincore: mincore
+  // reports swapped-out anonymous pages as non-resident, so their stale
+  // bytes would come back on the next touch.
+  //
+  // Fallback: when pagemap cannot be opened or read, the prefix is
+  // discarded (MADV_DONTNEED) and decommitted (PROT_NONE) instead, so the
+  // kernel zero-fills it on the next commit. The reservation, guard
+  // registration and bounds directory allocation are kept either way,
+  // which is exactly what makes reuse cheaper than a fresh create().
   bool recycle();
 
   // reset() re-arms a recycled region for its next request: commits
-  // min_pages and installs the new growth ceiling. Fails (false) if the
-  // ceiling would not fit the existing reservation — the caller must then
-  // fall back to create(). Memory contents after reset() are all-zero.
+  // min_pages and installs the new growth ceiling. Only the difference
+  // between the kept prefix and min_pages is mprotect'ed, so a same-size
+  // reuse makes no syscall; a smaller size decommits the excess, so exactly
+  // [0, size_bytes()) is accessible and vm_guard out-of-bounds accesses
+  // still fault. Fails (false) if the ceiling would not fit the existing
+  // reservation — the caller must then fall back to create(). Memory
+  // contents after reset() are all-zero.
   bool reset(uint32_t min_pages, uint32_t max_pages);
+
+  // Length of the read/write prefix at base(): size_bytes() while in use;
+  // while pooled, the zeroed prefix recycle() kept committed (0 after the
+  // fallback path). These pages stay resident, which is the RSS cost of
+  // in-place recycling; the pool's reclaim watermark bounds it.
+  uint64_t committed_bytes() const { return committed_bytes_; }
+
+  // Test-only fault injection: when set and returning true, recycle()
+  // behaves as if /proc/self/pagemap were unavailable and takes the
+  // madvise+mprotect fallback.
+  using PagemapFaultHook = bool (*)();
+  static void set_pagemap_fault_hook(PagemapFaultHook hook);
 
   // ---- Snapshot instantiation (COW template path) ----
   //
@@ -94,8 +120,9 @@ class LinearMemory {
   // initial memory image materializes copy-on-write instead of being zeroed
   // and rebuilt. Writes stay private to this instance; the template is never
   // modified. Requires a quiesced region (size_bytes() == 0, i.e. freshly
-  // recycled or created with min_pages = 0). grow() past content_bytes
-  // commits zero pages from the anonymous reservation above the file map.
+  // recycled or created with min_pages = 0); any kept prefix beyond
+  // content_bytes is decommitted. grow() past content_bytes commits zero
+  // pages from the anonymous reservation above the file map.
   bool map_template(int fd, uint64_t content_bytes, uint32_t max_pages);
 
   // Restores the pristine template view of an already template-backed
@@ -126,6 +153,7 @@ class LinearMemory {
   BoundsStrategy strategy_ = BoundsStrategy::kSoftware;
   uint8_t* base_ = nullptr;
   uint64_t size_bytes_ = 0;
+  uint64_t committed_bytes_ = 0;
   uint64_t reserved_bytes_ = 0;
   uint64_t file_mapped_bytes_ = 0;
   uint32_t max_pages_ = 0;

@@ -11,9 +11,15 @@
 //     since a recycled region can serve any module whose growth ceiling
 //     fits the existing reservation. Under vm_guard every module shares one
 //     bucket (the reservation is always 4 GiB + slack). On release the
-//     region is decommitted and madvise(MADV_DONTNEED)'d, so the kernel
-//     guarantees zero-filled pages on reuse — cross-tenant isolation does
-//     not depend on trusting the previous occupant.
+//     region is zeroed in place (LinearMemory::recycle): pages present per
+//     /proc/self/pagemap are memset, swapped-out ones discarded, and the
+//     prefix stays committed, so release and reuse change no page-table
+//     entry (no TLB shootdowns, no refaults). Where pagemap is unavailable
+//     the region is madvise(MADV_DONTNEED)'d and decommitted instead.
+//     Either way reuse reads zeros — cross-tenant isolation does not
+//     depend on trusting the previous occupant. The cost is RSS: a pooled
+//     region keeps its high-water resident pages until the reclaim
+//     watermark below releases it to the OS.
 //   * Execution stacks keep their mapping, guard page, and guard-region
 //     registration alive between requests; the ucontext storage rides along
 //     (it is re-initialized by getcontext/makecontext per request). Stacks
@@ -116,8 +122,9 @@ class SandboxResourcePool {
   engine::LinearMemory acquire_memory(engine::BoundsStrategy strategy,
                                       uint32_t min_pages, uint32_t max_pages,
                                       bool* from_pool = nullptr);
-  // Recycles (zero + decommit) and pools `mem`; releases it to the OS when
-  // the pool is disabled, recycling fails, or caps are hit.
+  // Recycles (zeroes, see LinearMemory::recycle) and pools `mem`; releases
+  // it to the OS when the pool is disabled, recycling fails, or caps are
+  // hit.
   void release_memory(engine::LinearMemory mem);
 
   // Pops a pooled stack of exactly (stack_size, guard_size), or maps and

@@ -1,13 +1,18 @@
 // SandboxResourcePool: warm reuse of linear memories and execution stacks
 // with the cross-tenant isolation guarantee (recycled regions read as
-// zeros), free-list caps, the reclaim watermark, and the engine-level
+// zeros, via in-place zeroing and via the madvise+mprotect fallback),
+// free-list caps, the reclaim watermark, and the engine-level
 // recycled-instantiate path. Sanitizer-safe: interpreter tiers only, no
-// ucontext dispatch, no faults taken.
+// ucontext dispatch; the only fault taken is one vm_guard trap, caught by
+// the engine's own SIGSEGV handler.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <csetjmp>
 #include <cstring>
 
 #include "engine/memory.hpp"
+#include "engine/trap.hpp"
 #include "minicc/minicc.hpp"
 #include "sledge/resource_pool.hpp"
 #include "test_util.hpp"
@@ -17,10 +22,14 @@ namespace {
 
 using engine::BoundsStrategy;
 using engine::LinearMemory;
+using testutil::writable_ranges;
+using Ranges = std::vector<std::pair<uint64_t, uint64_t>>;
 
 constexpr BoundsStrategy kAllStrategies[] = {
     BoundsStrategy::kNone, BoundsStrategy::kSoftware, BoundsStrategy::kMpxSim,
     BoundsStrategy::kVmGuard};
+
+bool fail_pagemap() { return true; }
 
 // Each test owns the process-wide pool: known config in, empty pool out.
 class PoolTest : public ::testing::Test {
@@ -32,11 +41,31 @@ class PoolTest : public ::testing::Test {
     pool.reset_counters();
   }
   void TearDown() override {
+    LinearMemory::set_pagemap_fault_hook(nullptr);
     SandboxResourcePool& pool = SandboxResourcePool::instance();
     pool.purge();
     pool.configure(SandboxResourcePool::Config{});
   }
 };
+
+void expect_all_zero(const LinearMemory& mem) {
+  for (uint64_t i = 0; i < mem.size_bytes(); ++i) {
+    ASSERT_EQ(mem.base()[i], 0) << "stale byte at offset " << i;
+  }
+}
+
+// True when a one-byte load at `addr` becomes a kOutOfBoundsMemory trap.
+bool load_traps(const uint8_t* addr) {
+  engine::ensure_sigaltstack();
+  engine::TrapFrame frame;
+  if (sigsetjmp(frame.env, 1) == 0) {
+    engine::TrapScope scope(&frame);
+    volatile uint8_t v = *static_cast<const volatile uint8_t*>(addr);
+    (void)v;
+    return false;
+  }
+  return frame.code == engine::TrapCode::kOutOfBoundsMemory;
+}
 
 TEST_F(PoolTest, ReservationBytesBucketsByStrategy) {
   // vm_guard reserves the full 32-bit span + slack regardless of the
@@ -54,8 +83,9 @@ TEST_F(PoolTest, ReservationBytesBucketsByStrategy) {
 
 // The isolation property pooling depends on: a reused region must read as
 // zeros no matter what the previous occupant wrote, under every bounds
-// strategy.
-TEST_F(PoolTest, RecycledMemoryReadsZeroAllStrategies) {
+// strategy. Shared by the in-place and the fallback recycle tests, which
+// must agree on every byte and every pool counter.
+void expect_canary_recycles_to_zero() {
   SandboxResourcePool& pool = SandboxResourcePool::instance();
   for (BoundsStrategy strategy : kAllStrategies) {
     SCOPED_TRACE(engine::to_string(strategy));
@@ -72,14 +102,123 @@ TEST_F(PoolTest, RecycledMemoryReadsZeroAllStrategies) {
     EXPECT_TRUE(from_pool);
     EXPECT_EQ(reused.base(), base);  // genuinely the same region
     EXPECT_EQ(reused.pages(), 2u);
-    for (uint64_t i = 0; i < reused.size_bytes(); ++i) {
-      ASSERT_EQ(reused.base()[i], 0) << "stale byte at offset " << i;
-    }
+    expect_all_zero(reused);
+    EXPECT_EQ(writable_ranges(base, reused.reserved_bytes()),
+              (Ranges{{0, reused.size_bytes()}}));
     pool.release_memory(std::move(reused));
   }
   SandboxResourcePool::Counters c = pool.counters();
   EXPECT_EQ(c.memory_hits, 4u);
   EXPECT_EQ(c.memory_misses, 4u);
+}
+
+TEST_F(PoolTest, RecycledMemoryReadsZeroAllStrategies) {
+  expect_canary_recycles_to_zero();
+}
+
+// Platforms without a readable /proc/self/pagemap take the discard path
+// (MADV_DONTNEED + PROT_NONE): same zeros, same pool hits and misses.
+TEST_F(PoolTest, PagemapUnavailableFallsBackToDiscard) {
+  LinearMemory::set_pagemap_fault_hook(&fail_pagemap);
+  expect_canary_recycles_to_zero();
+
+  // The fallback really ran: it leaves nothing committed while pooled.
+  auto mem_or = LinearMemory::create(BoundsStrategy::kVmGuard, 2, 4);
+  ASSERT_TRUE(mem_or.ok());
+  LinearMemory mem = mem_or.take();
+  std::memset(mem.base(), 0xAB, mem.size_bytes());
+  ASSERT_TRUE(mem.recycle());
+  EXPECT_EQ(mem.committed_bytes(), 0u);
+  EXPECT_TRUE(writable_ranges(mem.base(), mem.reserved_bytes()).empty());
+}
+
+// With pagemap readable, recycle() zeroes in place: the prefix stays
+// committed (read/write, no page-table change) while pooled, and a
+// same-size reset() only re-arms the bookkeeping.
+TEST_F(PoolTest, InPlaceRecycleKeepsPrefixCommitted) {
+  if (::access("/proc/self/pagemap", R_OK) != 0) {
+    GTEST_SKIP() << "/proc/self/pagemap unavailable: fallback path only";
+  }
+  for (BoundsStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(engine::to_string(strategy));
+    auto mem_or = LinearMemory::create(strategy, 2, 4);
+    ASSERT_TRUE(mem_or.ok());
+    LinearMemory mem = mem_or.take();
+    std::memset(mem.base(), 0xAB, mem.size_bytes());
+    ASSERT_TRUE(mem.recycle());
+    EXPECT_EQ(mem.size_bytes(), 0u);
+    EXPECT_EQ(mem.committed_bytes(), 2 * wasm::kPageSize);
+    EXPECT_EQ(writable_ranges(mem.base(), mem.reserved_bytes()),
+              (Ranges{{0, 2 * wasm::kPageSize}}));
+    ASSERT_TRUE(mem.reset(2, 4));
+    expect_all_zero(mem);
+  }
+}
+
+// A tenant that leaves every kind of page behind — written (present and
+// private), only read (mapped to the shared zero page) and never touched
+// (absent) — must still hand over a region that reads all zero.
+TEST_F(PoolTest, ScatteredTouchesRecycleToZeroAllStrategies) {
+  SandboxResourcePool& pool = SandboxResourcePool::instance();
+  const uint64_t os_page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  for (BoundsStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(engine::to_string(strategy));
+    LinearMemory mem = pool.acquire_memory(strategy, 4, 8, nullptr);
+    ASSERT_TRUE(mem.valid());
+    uint8_t* base = mem.base();
+    const volatile uint8_t* reader = base;
+    unsigned sink = 0;
+    for (uint64_t p = 0; p < mem.size_bytes() / os_page; ++p) {
+      switch (p % 3) {
+        case 0:  // written, at a page-dependent offset
+          base[p * os_page + (p * 37) % os_page] = static_cast<uint8_t>(p | 1);
+          break;
+        case 1:  // read only
+          sink += reader[p * os_page + 100];
+          break;
+        default:  // never touched
+          break;
+      }
+    }
+    EXPECT_EQ(sink, 0u);
+    pool.release_memory(std::move(mem));
+
+    bool from_pool = false;
+    LinearMemory reused = pool.acquire_memory(strategy, 4, 8, &from_pool);
+    ASSERT_TRUE(reused.valid());
+    EXPECT_TRUE(from_pool);
+    EXPECT_EQ(reused.base(), base);
+    expect_all_zero(reused);
+    pool.release_memory(std::move(reused));
+  }
+}
+
+// grow → recycle → reset to a smaller size: [0, size) reads zero and is
+// the only accessible part of the reservation, so under vm_guard a load
+// just past the new end still traps. Growing again hands back pages the
+// old tenant dirtied — zeroed by recycle(), so they read zero too.
+TEST_F(PoolTest, ShrinkAfterGrowExposesOnlyNewSize) {
+  for (BoundsStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(engine::to_string(strategy));
+    auto mem_or = LinearMemory::create(strategy, 1, 8);
+    ASSERT_TRUE(mem_or.ok());
+    LinearMemory mem = mem_or.take();
+    ASSERT_EQ(mem.grow(3), 1);  // 1 -> 4 pages
+    std::memset(mem.base(), 0xCD, mem.size_bytes());
+
+    ASSERT_TRUE(mem.recycle());
+    ASSERT_TRUE(mem.reset(2, 8));
+    EXPECT_EQ(mem.committed_bytes(), mem.size_bytes());
+    expect_all_zero(mem);
+    EXPECT_EQ(writable_ranges(mem.base(), mem.reserved_bytes()),
+              (Ranges{{0, 2 * wasm::kPageSize}}));
+    if (strategy == BoundsStrategy::kVmGuard) {
+      EXPECT_TRUE(load_traps(mem.base() + mem.size_bytes()));
+    }
+
+    ASSERT_EQ(mem.grow(2), 2);  // 2 -> 4 pages, over the old dirty tail
+    expect_all_zero(mem);
+  }
 }
 
 // A recycled region serves any ceiling that fits its reservation: grow to

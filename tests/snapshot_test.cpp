@@ -236,6 +236,49 @@ TEST_F(SnapshotTest, GrowPastTemplateYieldsZeroPages) {
   pool.release_memory(std::move(mem));
 }
 
+// A region recycled in place keeps its zeroed prefix committed. Mapping a
+// smaller template over it must decommit the rest: only the image stays
+// read/write, and growing past it yields zero pages, under every bounds
+// strategy.
+TEST_F(SnapshotTest, MapTemplateDecommitsKeptPrefixAllStrategies) {
+  auto wasm = minicc::compile_to_wasm(kCanarySrc);
+  ASSERT_TRUE(wasm.ok()) << wasm.error_message();
+
+  for (BoundsStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(engine::to_string(strategy));
+    engine::WasmModule::Config cfg;
+    cfg.tier = engine::Tier::kInterpFast;
+    cfg.strategy = strategy;
+    auto mod = engine::WasmModule::load(*wasm, cfg);
+    ASSERT_TRUE(mod.ok()) << mod.error_message();
+    const SnapshotTemplate* tmpl =
+        SnapshotRegistry::instance().get_or_build(&mod.value());
+    ASSERT_NE(tmpl, nullptr);
+
+    // A previous tenant ran two pages past the image and dirtied them all.
+    const uint32_t image_pages =
+        static_cast<uint32_t>(tmpl->content_bytes / wasm::kPageSize);
+    const uint32_t ceiling = tmpl->max_pages + 2;
+    auto mem_or = LinearMemory::create(strategy, image_pages + 2, ceiling);
+    ASSERT_TRUE(mem_or.ok());
+    LinearMemory mem = mem_or.take();
+    std::memset(mem.base(), 0xAB, mem.size_bytes());
+    ASSERT_TRUE(mem.recycle());
+
+    ASSERT_TRUE(mem.map_template(tmpl->fd, tmpl->content_bytes, ceiling));
+    EXPECT_EQ(mem.committed_bytes(), tmpl->content_bytes);
+    EXPECT_EQ(testutil::writable_ranges(mem.base(), mem.reserved_bytes()),
+              (std::vector<std::pair<uint64_t, uint64_t>>{
+                  {0, tmpl->content_bytes}}));
+
+    ASSERT_EQ(mem.grow(2), static_cast<int32_t>(image_pages));
+    for (uint64_t i = tmpl->content_bytes; i < mem.size_bytes(); ++i) {
+      ASSERT_EQ(mem.base()[i], 0) << "stale tail byte at offset " << i;
+    }
+    SnapshotRegistry::instance().invalidate(&mod.value());
+  }
+}
+
 // ---- Graceful degradation ------------------------------------------------
 
 bool fail_memfd() { return true; }

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -114,6 +115,37 @@ inline std::string param_name(
         std::tuple<engine::Tier, engine::BoundsStrategy>>& info) {
   return std::string(engine::to_string(std::get<0>(info.param))) + "_" +
          engine::to_string(std::get<1>(info.param));
+}
+
+// The read/write parts of [base, base + len) according to /proc/self/maps,
+// as offsets from base, with adjacent ranges merged (a file mapping and
+// the anonymous reservation above it are separate VMAs). A linear memory
+// must expose exactly {{0, size_bytes()}} — anything more is address space
+// a vm_guard out-of-bounds access could reach without faulting.
+inline std::vector<std::pair<uint64_t, uint64_t>> writable_ranges(
+    const void* base, uint64_t len) {
+  const uint64_t lo = reinterpret_cast<uintptr_t>(base);
+  const uint64_t hi = lo + len;
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  FILE* f = std::fopen("/proc/self/maps", "r");
+  if (!f) return out;
+  char line[512];
+  while (std::fgets(line, sizeof(line), f)) {
+    unsigned long long start = 0, end = 0;
+    char perms[5] = {};
+    if (std::sscanf(line, "%llx-%llx %4s", &start, &end, perms) != 3) continue;
+    if (perms[0] != 'r' || perms[1] != 'w') continue;
+    uint64_t s = start < lo ? lo : start;
+    uint64_t e = end > hi ? hi : end;
+    if (s >= e) continue;
+    if (!out.empty() && out.back().second == s - lo) {
+      out.back().second = e - lo;
+    } else {
+      out.emplace_back(s - lo, e - lo);
+    }
+  }
+  std::fclose(f);
+  return out;
 }
 
 }  // namespace sledge::testutil
