@@ -53,7 +53,7 @@ echo "== tsan: invoke dataplane soak (transfer pool + hinted injection) =="
 cmake --build --preset tsan -j "$(nproc)" --target invoke_soak_test
 ctest --preset tsan-invoke -j "$(nproc)"
 
-echo "== tsan: snapshot/COW soak (template registry + warm-pool races) =="
+echo "== tsan: snapshot/COW soak (template registry + stash/adopt races) =="
 cmake --build --preset tsan -j "$(nproc)" --target snapshot_soak_test
 ctest --preset tsan-snapshot -j "$(nproc)"
 

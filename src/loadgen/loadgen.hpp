@@ -15,9 +15,9 @@
 namespace sledge::loadgen {
 
 // Open-loop arrival process: a base rate modulated by a sinusoidal diurnal
-// cycle and periodic burst spikes (the edge traffic shapes the warm-pool
-// autoscaler is sized against). Fully deterministic — arrival times follow
-// t += 1/rate(t) — so tests can assert the schedule math exactly.
+// cycle and periodic burst spikes (edge traffic shapes). Fully
+// deterministic — arrival times follow t += 1/rate(t) — so tests can
+// assert the schedule math exactly.
 struct ArrivalSchedule {
   bool enabled = false;  // false = closed-loop back-to-back clients
   double base_rps = 100.0;

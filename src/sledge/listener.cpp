@@ -553,7 +553,8 @@ Listener::Consume Listener::process_bytes(Conn* conn, const char* data,
 
     std::vector<uint8_t> body = std::move(req.body);
     std::unique_ptr<Sandbox> sb =
-        rt_->create_sandbox(mod, std::move(body), conn->fd, keep_alive);
+        Sandbox::create(&mod->module, std::move(body), conn->fd, keep_alive,
+                        rt_->module_instantiation(mod));
     if (!sb) {
       rt_->note_shed(mod);
       std::string header = http::serialize_response_header(

@@ -36,8 +36,7 @@ constexpr uint32_t kInvokeLocalitySlack = 2;
 LoadedModule::~LoadedModule() {
   // Drop the snapshot template with the module: a reloaded module must
   // rebuild from its own post-start image, never instantiate from a stale
-  // one. (warm_pool is declared after `module`, so its pre-built sandboxes
-  // are destroyed before the engine module they reference.)
+  // one.
   SnapshotRegistry::instance().invalidate(&module);
 }
 
@@ -150,10 +149,6 @@ Status Runtime::start() {
     workers_.back()->start();
   }
   for (auto& l : listeners_) l->start();
-  if (config_.warm_pool.enabled) {
-    replenish_run_.store(true, std::memory_order_release);
-    replenisher_ = std::thread([this] { replenisher_main(); });
-  }
   SLEDGE_LOG_INFO(
       "sledge runtime on port %u (%d listeners, %d workers, quantum %lu us, "
       "%s, dispatcher=%s, sched=%s, admission=%s, pool=%s, dataplane=%s)",
@@ -198,15 +193,6 @@ void Runtime::stop() {
     }
   }
   if (!running_.exchange(false)) return;
-  // The replenisher goes first: nothing may pre-build sandboxes while the
-  // pools drain, and the warm pools release their resources before the
-  // resource pool's consumers are gone.
-  replenish_run_.store(false, std::memory_order_release);
-  if (replenisher_.joinable()) replenisher_.join();
-  for (auto& [name, mod] : modules_) {
-    mod->warm_pool.set_target(0);
-    mod->warm_pool.clear();
-  }
   for (auto& w : workers_) w->notify();  // interrupt idle epoll sleeps
   for (auto& l : listeners_) l->wake();
   for (auto& w : workers_) w->join();
@@ -272,60 +258,6 @@ void Runtime::forget_connection(int fd, int shard, uint64_t gen) {
   if (running() && shard >= 0 &&
       shard < static_cast<int>(listeners_.size())) {
     listeners_[shard]->discard_connection(fd, gen);
-  }
-}
-
-std::unique_ptr<Sandbox> Runtime::create_sandbox(LoadedModule* mod,
-                                                 std::vector<uint8_t> request,
-                                                 int conn_fd,
-                                                 bool keep_alive) {
-  Stopwatch sw;
-  mod->warm_pool.arrivals.note_arrival(now_ns());
-  InstantiationMode mode = module_instantiation(mod);
-  if (mode == InstantiationMode::kSnapshot && config_.warm_pool.enabled) {
-    if (std::unique_ptr<Sandbox> sb = mod->warm_pool.pop()) {
-      // Pre-built by the replenisher; the request only pays the pop.
-      sb->adopt_request(std::move(request), conn_fd, keep_alive,
-                        sw.elapsed_ns());
-      return sb;
-    }
-  }
-  return Sandbox::create(&mod->module, std::move(request), conn_fd,
-                         keep_alive, mode);
-}
-
-void Runtime::replenisher_main() {
-  const WarmPoolConfig& wp = config_.warm_pool;
-  while (replenish_run_.load(std::memory_order_acquire)) {
-    for (auto& [name, mod] : modules_) {
-      if (module_instantiation(mod.get()) != InstantiationMode::kSnapshot) {
-        continue;
-      }
-      WarmPool& pool = mod->warm_pool;
-      uint64_t now = now_ns();
-      uint64_t last = pool.arrivals.last_arrival_ns();
-      uint64_t idle = last == 0 ? ~uint64_t{0} : now - last;
-      int target =
-          warm_pool_target(pool.arrivals.rate_per_sec(now), idle, wp);
-      pool.set_target(target);
-      if (target == 0) {
-        // Idle decay: the pre-built sandboxes flow back to the resource
-        // pool (memory recycled, stacks kept warm for other modules).
-        if (pool.size() != 0) pool.clear();
-        continue;
-      }
-      while (static_cast<int>(pool.size()) < target &&
-             replenish_run_.load(std::memory_order_acquire)) {
-        std::unique_ptr<Sandbox> sb = Sandbox::create(
-            &mod->module, {}, -1, false, InstantiationMode::kSnapshot);
-        if (!sb) break;
-        sb->user_tag = mod.get();
-        // push() refuses once the target was reached (or decayed) under a
-        // concurrent pop — the spare build is simply dropped back.
-        if (!pool.push(std::move(sb))) break;
-      }
-    }
-    ::usleep(static_cast<useconds_t>(wp.replenish_interval_us));
   }
 }
 
@@ -440,9 +372,10 @@ bool Runtime::invoke_child(Sandbox* parent, const std::string& name,
   // a socket, pipe, or process boundary would (these boundary copies are
   // precisely what the transfer-buffer plane eliminates).
   const bool zerocopy = join && join->xfer != nullptr;
-  std::unique_ptr<Sandbox> child = create_sandbox(
-      mod, zerocopy ? std::vector<uint8_t>() : std::vector<uint8_t>(request),
-      -1, false);
+  std::unique_ptr<Sandbox> child = Sandbox::create(
+      &mod->module,
+      zerocopy ? std::vector<uint8_t>() : std::vector<uint8_t>(request), -1,
+      false, module_instantiation(mod));
   if (!child) {
     note_shed(mod);
     *err = engine::kSbErrOverload;
@@ -468,9 +401,10 @@ bool Runtime::invoke_stream_child(Sandbox* parent, const std::string& name,
   // Same boundary semantics as invoke_child: the copy dataplane hands the
   // child its own copy of the request bytes.
   const bool zerocopy = loan != nullptr;
-  std::unique_ptr<Sandbox> child = create_sandbox(
-      mod, zerocopy ? std::vector<uint8_t>() : std::vector<uint8_t>(request),
-      -1, false);
+  std::unique_ptr<Sandbox> child = Sandbox::create(
+      &mod->module,
+      zerocopy ? std::vector<uint8_t>() : std::vector<uint8_t>(request), -1,
+      false, module_instantiation(mod));
   if (!child) {
     note_shed(mod);
     *err = engine::kSbErrOverload;
@@ -576,6 +510,8 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
   s.uptime_ns = start_ns_ != 0 ? now_ns() - start_ns_ : 0;
   s.inflight = inflight();
   s.totals = totals();
+  s.pool = SandboxResourcePool::instance().counters();
+  s.snapshot_tier = SnapshotRegistry::instance().counters();
   for (const auto& l : listeners_) {
     ListenerSnapshot ls;
     ls.id = l->shard();
@@ -607,10 +543,6 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
         mod->limits.tenant_weight == 0 ? 1 : mod->limits.tenant_weight;
     ms.predicted_queue_p99_ns = mod->stats.predictor.queue_wait_p99_ns();
     ms.predicted_exec_p99_ns = mod->stats.predictor.exec_cpu_p99_ns();
-    ms.warm_hits = mod->warm_pool.hits();
-    ms.warm_refills = mod->warm_pool.refills();
-    ms.warm_size = mod->warm_pool.size();
-    ms.warm_target = mod->warm_pool.target();
     std::lock_guard<std::mutex> lock(mod->stats.mu);
     ms.requests = mod->stats.requests;
     ms.failures = mod->stats.failures;
@@ -638,12 +570,15 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
 
 namespace {
 
+double mean_ns(const LatencyHistogram::Summary& h) {
+  return h.count != 0 ? h.sum_ns / static_cast<double>(h.count) : 0.0;
+}
+
 json::Value hist_to_json(const LatencyHistogram::Summary& h) {
   json::Object o;
   o["count"] = json::Value(static_cast<double>(h.count));
   o["sum_ns"] = json::Value(h.sum_ns);
-  o["mean_ns"] = json::Value(
-      h.count != 0 ? h.sum_ns / static_cast<double>(h.count) : 0.0);
+  o["mean_ns"] = json::Value(mean_ns(h));
   o["min_ns"] = json::Value(static_cast<double>(h.min_ns));
   o["p50_ns"] = json::Value(static_cast<double>(h.p50_ns));
   o["p90_ns"] = json::Value(static_cast<double>(h.p90_ns));
@@ -684,17 +619,28 @@ std::string Runtime::stats_json() const {
       json::Value(static_cast<double>(s.totals.accept_errors));
   root["totals"] = json::Value(std::move(totals));
 
-  {
-    const SnapshotRegistry::Counters sc =
-        SnapshotRegistry::instance().counters();
-    json::Object snap;
-    snap["hits"] = json::Value(static_cast<double>(sc.hits));
-    snap["misses"] = json::Value(static_cast<double>(sc.misses));
-    snap["builds"] = json::Value(static_cast<double>(sc.builds));
-    snap["build_failures"] =
-        json::Value(static_cast<double>(sc.build_failures));
-    root["snapshot"] = json::Value(std::move(snap));
-  }
+  json::Object pool;
+  pool["memory_hits"] = json::Value(static_cast<double>(s.pool.memory_hits));
+  pool["memory_misses"] =
+      json::Value(static_cast<double>(s.pool.memory_misses));
+  pool["stack_hits"] = json::Value(static_cast<double>(s.pool.stack_hits));
+  pool["stack_misses"] = json::Value(static_cast<double>(s.pool.stack_misses));
+  pool["released"] = json::Value(static_cast<double>(s.pool.released));
+  pool["transfer_hits"] =
+      json::Value(static_cast<double>(s.pool.transfer_hits));
+  pool["transfer_misses"] =
+      json::Value(static_cast<double>(s.pool.transfer_misses));
+  pool["transfer_outstanding"] =
+      json::Value(static_cast<double>(s.pool.transfer_outstanding));
+  root["pool"] = json::Value(std::move(pool));
+
+  json::Object snap;
+  snap["hits"] = json::Value(static_cast<double>(s.snapshot_tier.hits));
+  snap["misses"] = json::Value(static_cast<double>(s.snapshot_tier.misses));
+  snap["builds"] = json::Value(static_cast<double>(s.snapshot_tier.builds));
+  snap["build_failures"] =
+      json::Value(static_cast<double>(s.snapshot_tier.build_failures));
+  root["snapshot"] = json::Value(std::move(snap));
 
   json::Array listeners;
   for (const ListenerSnapshot& l : s.listeners) {
@@ -744,10 +690,6 @@ std::string Runtime::stats_json() const {
     o["invoke_local"] = json::Value(static_cast<double>(m.invoke_local));
     o["invoke_zerocopy"] =
         json::Value(static_cast<double>(m.invoke_zerocopy));
-    o["warm_hits"] = json::Value(static_cast<double>(m.warm_hits));
-    o["warm_refills"] = json::Value(static_cast<double>(m.warm_refills));
-    o["warm_pool_size"] = json::Value(static_cast<double>(m.warm_size));
-    o["warm_pool_target"] = json::Value(static_cast<double>(m.warm_target));
     o["end_to_end"] = hist_to_json(m.end_to_end);
     o["startup"] = hist_to_json(m.startup);
     o["startup_pooled"] = hist_to_json(m.startup_pooled);
@@ -798,23 +740,25 @@ std::string Runtime::stats_prometheus() const {
       {"sledge_invokes_total", s.totals.invokes},
       {"sledge_accepted_total", s.totals.accepted},
       {"sledge_accept_errors_total", s.totals.accept_errors},
-  };
-  const SnapshotRegistry::Counters snap =
-      SnapshotRegistry::instance().counters();
-  const Counter snap_counters[] = {
-      {"sledge_snapshot_hits_total", snap.hits},
-      {"sledge_snapshot_misses_total", snap.misses},
-      {"sledge_snapshot_builds_total", snap.builds},
-      {"sledge_snapshot_build_failures_total", snap.build_failures},
+      {"sledge_pool_memory_hits_total", s.pool.memory_hits},
+      {"sledge_pool_memory_misses_total", s.pool.memory_misses},
+      {"sledge_pool_stack_hits_total", s.pool.stack_hits},
+      {"sledge_pool_stack_misses_total", s.pool.stack_misses},
+      {"sledge_pool_released_total", s.pool.released},
+      {"sledge_pool_transfer_hits_total", s.pool.transfer_hits},
+      {"sledge_pool_transfer_misses_total", s.pool.transfer_misses},
+      {"sledge_snapshot_hits_total", s.snapshot_tier.hits},
+      {"sledge_snapshot_misses_total", s.snapshot_tier.misses},
+      {"sledge_snapshot_builds_total", s.snapshot_tier.builds},
+      {"sledge_snapshot_build_failures_total", s.snapshot_tier.build_failures},
   };
   for (const Counter& c : counters) {
     emit("# TYPE %s counter\n%s %llu\n", c.name, c.name,
          static_cast<unsigned long long>(c.value));
   }
-  for (const Counter& c : snap_counters) {
-    emit("# TYPE %s counter\n%s %llu\n", c.name, c.name,
-         static_cast<unsigned long long>(c.value));
-  }
+  emit("# TYPE sledge_transfer_outstanding gauge\n"
+       "sledge_transfer_outstanding %llu\n",
+       static_cast<unsigned long long>(s.pool.transfer_outstanding));
 
   emit("# TYPE sledge_listener_accepted_total counter\n");
   for (const ListenerSnapshot& l : s.listeners) {
@@ -851,8 +795,6 @@ std::string Runtime::stats_prometheus() const {
       {"sledge_response_bytes_total", &ModuleSnapshot::response_bytes},
       {"sledge_invoke_local_total", &ModuleSnapshot::invoke_local},
       {"sledge_invoke_zerocopy_total", &ModuleSnapshot::invoke_zerocopy},
-      {"sledge_warm_pool_hits_total", &ModuleSnapshot::warm_hits},
-      {"sledge_warm_pool_refills_total", &ModuleSnapshot::warm_refills},
   };
   for (const ModCounter& c : mod_counters) {
     emit("# TYPE %s counter\n", c.name);
@@ -866,20 +808,11 @@ std::string Runtime::stats_prometheus() const {
     const char* name;
     LatencyHistogram::Summary ModuleSnapshot::* field;
   };
-  emit("# TYPE sledge_warm_pool_size gauge\n");
-  for (const ModuleSnapshot& m : s.modules) {
-    emit("sledge_warm_pool_size{module=\"%s\"} %llu\n", m.name.c_str(),
-         static_cast<unsigned long long>(m.warm_size));
-  }
-  emit("# TYPE sledge_warm_pool_target gauge\n");
-  for (const ModuleSnapshot& m : s.modules) {
-    emit("sledge_warm_pool_target{module=\"%s\"} %d\n", m.name.c_str(),
-         m.warm_target);
-  }
-
   const Phase phases[] = {
       {"sledge_queue_wait_seconds", &ModuleSnapshot::queue_wait},
       {"sledge_startup_seconds", &ModuleSnapshot::startup},
+      {"sledge_startup_pooled_seconds", &ModuleSnapshot::startup_pooled},
+      {"sledge_startup_cold_seconds", &ModuleSnapshot::startup_cold},
       {"sledge_startup_snapshot_seconds", &ModuleSnapshot::startup_snapshot},
       {"sledge_exec_cpu_seconds", &ModuleSnapshot::exec_cpu},
       {"sledge_io_wait_seconds", &ModuleSnapshot::io_wait},
@@ -909,9 +842,10 @@ std::string Runtime::stats_prometheus() const {
 }
 
 std::string Runtime::stats_report() const {
+  StatsSnapshot s = snapshot();
+  const Totals& t = s.totals;
   std::string out;
   char buf[384];
-  Totals t = totals();
   std::snprintf(buf, sizeof(buf),
                 "runtime: completed=%llu failed=%llu killed=%llu "
                 "drained=%llu shed=%llu shed_deadline=%llu preemptions=%llu "
@@ -933,8 +867,7 @@ std::string Runtime::stats_report() const {
                 to_string(config_.invoke_dataplane));
   out += buf;
 
-  const SandboxResourcePool::Counters pc =
-      SandboxResourcePool::instance().counters();
+  const SandboxResourcePool::Counters& pc = s.pool;
   const uint64_t warm_total = t.pool_hits + t.pool_misses;
   std::snprintf(buf, sizeof(buf),
                 "pool: warm=%llu cold=%llu (%.1f%% warm) "
@@ -957,7 +890,7 @@ std::string Runtime::stats_report() const {
                 static_cast<unsigned long long>(pc.transfer_misses),
                 static_cast<unsigned long long>(pc.transfer_outstanding));
   out += buf;
-  const SnapshotRegistry::Counters sc = SnapshotRegistry::instance().counters();
+  const SnapshotRegistry::Counters& sc = s.snapshot_tier;
   std::snprintf(buf, sizeof(buf),
                 "snapshot: hit/miss=%llu/%llu builds=%llu failures=%llu\n",
                 static_cast<unsigned long long>(sc.hits),
@@ -966,56 +899,38 @@ std::string Runtime::stats_report() const {
                 static_cast<unsigned long long>(sc.build_failures));
   out += buf;
 
-  auto p50_us = [](const LatencyHistogram& h) {
-    return static_cast<double>(h.percentile_ns(0.5)) / 1e3;
-  };
-  for (const auto& [name, mod] : modules_) {
-    std::lock_guard<std::mutex> lock(mod->stats.mu);
+  auto us = [](uint64_t ns) { return static_cast<double>(ns) / 1e3; };
+  for (const ModuleSnapshot& m : s.modules) {
     std::snprintf(buf, sizeof(buf),
                   "  %-12s reqs=%llu fail=%llu kills=%llu "
                   "e2e(avg=%.3fms p99=%.3fms) "
                   "startup(avg=%.1fus p99=%.1fus)\n",
-                  name.c_str(),
-                  static_cast<unsigned long long>(mod->stats.requests),
-                  static_cast<unsigned long long>(mod->stats.failures),
-                  static_cast<unsigned long long>(mod->stats.kills),
-                  mod->stats.end_to_end.mean_ms(), mod->stats.end_to_end.p99_ms(),
-                  mod->stats.startup.mean_us(), mod->stats.startup.p99_us());
+                  m.name.c_str(), static_cast<unsigned long long>(m.requests),
+                  static_cast<unsigned long long>(m.failures),
+                  static_cast<unsigned long long>(m.kills),
+                  mean_ns(m.end_to_end) / 1e6,
+                  static_cast<double>(m.end_to_end.p99_ns) / 1e6,
+                  mean_ns(m.startup) / 1e3, us(m.startup.p99_ns));
     out += buf;
     std::snprintf(
         buf, sizeof(buf),
         "  %-12s startup pooled n=%zu (p50=%.1fus p99=%.1fus) "
         "cold n=%zu (p50=%.1fus p99=%.1fus) "
         "snapshot n=%zu (p50=%.1fus p99=%.1fus)\n",
-        "", mod->stats.startup_pooled.count(),
-        p50_us(mod->stats.startup_pooled), mod->stats.startup_pooled.p99_us(),
-        mod->stats.startup_cold.count(), p50_us(mod->stats.startup_cold),
-        mod->stats.startup_cold.p99_us(),
-        mod->stats.startup_snapshot.count(),
-        p50_us(mod->stats.startup_snapshot),
-        mod->stats.startup_snapshot.p99_us());
+        "", m.startup_pooled.count, us(m.startup_pooled.p50_ns),
+        us(m.startup_pooled.p99_ns), m.startup_cold.count,
+        us(m.startup_cold.p50_ns), us(m.startup_cold.p99_ns),
+        m.startup_snapshot.count, us(m.startup_snapshot.p50_ns),
+        us(m.startup_snapshot.p99_ns));
     out += buf;
-    if (mod->warm_pool.hits() != 0 || mod->warm_pool.refills() != 0 ||
-        mod->warm_pool.target() != 0) {
+    if (m.invoke_local != 0 || m.invoke_zerocopy != 0 ||
+        m.invoke_handoff.count != 0) {
       std::snprintf(buf, sizeof(buf),
-                    "  %-12s warm-pool hits=%llu refills=%llu size=%zu "
-                    "target=%d\n",
-                    "",
-                    static_cast<unsigned long long>(mod->warm_pool.hits()),
-                    static_cast<unsigned long long>(mod->warm_pool.refills()),
-                    mod->warm_pool.size(), mod->warm_pool.target());
-      out += buf;
-    }
-    if (mod->stats.invoke_local != 0 || mod->stats.invoke_zerocopy != 0 ||
-        mod->stats.invoke_handoff.count() != 0) {
-      std::snprintf(
-          buf, sizeof(buf),
-          "  %-12s invoke local=%llu zerocopy=%llu "
-          "handoff(p50=%.1fus p99=%.1fus)\n",
-          "", static_cast<unsigned long long>(mod->stats.invoke_local),
-          static_cast<unsigned long long>(mod->stats.invoke_zerocopy),
-          p50_us(mod->stats.invoke_handoff),
-          mod->stats.invoke_handoff.p99_us());
+                    "  %-12s invoke local=%llu zerocopy=%llu "
+                    "handoff(p50=%.1fus p99=%.1fus)\n",
+                    "", static_cast<unsigned long long>(m.invoke_local),
+                    static_cast<unsigned long long>(m.invoke_zerocopy),
+                    us(m.invoke_handoff.p50_ns), us(m.invoke_handoff.p99_ns));
       out += buf;
     }
   }

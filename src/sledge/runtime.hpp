@@ -15,7 +15,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -77,10 +76,6 @@ struct RuntimeConfig {
   // recycled zeroed memory (PR 2 warm path), snapshot = COW memfd template
   // of the post-start image (falls back to pooled when no template builds).
   InstantiationMode instantiation = InstantiationMode::kPooled;
-  // Warm-pool autoscaler: a background replenisher pre-builds
-  // snapshot-backed sandboxes per module, sized from the observed arrival
-  // rate. Only engages for modules resolved to the snapshot tier.
-  WarmPoolConfig warm_pool;
 
   // ---- Deadline enforcement & overload defaults (0 = unlimited) ----
   // Per-request CPU budget across preemptions; over-budget sandboxes are
@@ -196,9 +191,6 @@ struct LoadedModule {
   // In-flight slots this module holds (admitted, not yet retired) — the
   // fair-share accounting input. Touched by listener and workers.
   std::atomic<int64_t> inflight{0};
-  // Pre-built snapshot-backed sandboxes + the arrival-rate estimator that
-  // sizes the pool (see snapshot.hpp; filled by the replenisher thread).
-  WarmPool warm_pool;
 
   // Out of line: drops the module's snapshot template on unload so a
   // reloaded module can never instantiate from a stale image.
@@ -258,15 +250,6 @@ class Runtime : public InvokeBroker {
     }
     return config_.instantiation;
   }
-
-  // Admission-path sandbox creation, shared by the listener shards and the
-  // invoke broker: notes the arrival for the warm-pool autoscaler, adopts a
-  // pre-built sandbox from the module's warm pool when one is ready, and
-  // otherwise builds at the module's resolved tier. nullptr = resource
-  // exhaustion (the caller sheds with 503 / kSbErrOverload).
-  std::unique_ptr<Sandbox> create_sandbox(LoadedModule* mod,
-                                          std::vector<uint8_t> request,
-                                          int conn_fd, bool keep_alive);
 
   // Resolved dataplane for chains started by `mod`'s sandboxes: the
   // per-module override when set, the runtime-wide config otherwise.
@@ -424,11 +407,6 @@ class Runtime : public InvokeBroker {
     // Live predictor state (what the admission gate sees).
     uint64_t predicted_queue_p99_ns = 0;
     uint64_t predicted_exec_p99_ns = 0;
-    // Warm-pool autoscaler state (live gauge reads; hits/refills monotone).
-    uint64_t warm_hits = 0;
-    uint64_t warm_refills = 0;
-    uint64_t warm_size = 0;
-    int warm_target = 0;
     LatencyHistogram::Summary end_to_end;
     LatencyHistogram::Summary startup;
     LatencyHistogram::Summary startup_pooled;
@@ -462,6 +440,9 @@ class Runtime : public InvokeBroker {
     uint64_t uptime_ns = 0;
     int64_t inflight = 0;
     Totals totals;
+    // Process-wide resource-pool and snapshot-registry counters.
+    SandboxResourcePool::Counters pool;
+    SnapshotRegistry::Counters snapshot_tier;
     std::vector<ListenerSnapshot> listeners;
     std::vector<WorkerSnapshot> workers;
     std::vector<ModuleSnapshot> modules;
@@ -491,19 +472,12 @@ class Runtime : public InvokeBroker {
   void place_invoke_child(Sandbox* parent, LoadedModule* mod,
                           std::unique_ptr<Sandbox> child, bool zerocopy);
 
-  // Warm-pool replenisher: a background thread that periodically sizes each
-  // snapshot-tier module's warm pool from its arrival-rate estimator and
-  // pre-builds sandboxes up to the target (decaying idle modules to zero).
-  void replenisher_main();
-
   RuntimeConfig config_;
   std::map<std::string, std::unique_ptr<LoadedModule>> modules_;
   std::unique_ptr<Dispatcher> dispatcher_;
   AdmissionController admission_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<Listener>> listeners_;
-  std::thread replenisher_;
-  std::atomic<bool> replenish_run_{false};
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<int64_t> inflight_{0};       // admitted, not yet retired

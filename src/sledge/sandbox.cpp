@@ -213,17 +213,6 @@ std::unique_ptr<Sandbox> Sandbox::create(const engine::WasmModule* module,
   return sb;
 }
 
-void Sandbox::adopt_request(std::vector<uint8_t> request, int conn_fd,
-                            bool keep_alive, uint64_t startup_ns) {
-  env_.request = std::move(request);
-  conn_fd_ = conn_fd;
-  keep_alive_ = keep_alive;
-  // Phase accounting restarts from adoption: the build cost was paid by the
-  // replenisher in the background, not by this request.
-  t_created_ = now_ns();
-  startup_cost_ns_ = startup_ns;
-}
-
 Sandbox::~Sandbox() {
   // Close any outbound sockets the function leaked (or was killed holding):
   // the fd table dies with the request, never with the connection pool.

@@ -366,12 +366,6 @@ class Sandbox {
   // skipped). Drives the startup_snapshot histogram split.
   bool snapshot_backed() const { return snapshot_backed_; }
 
-  // Warm-pool adoption: re-arms a pre-built, never-dispatched sandbox with
-  // a real request. `startup_ns` is the cost the request actually observed
-  // (the pool pop), replacing the build-time cost for phase accounting.
-  void adopt_request(std::vector<uint8_t> request, int conn_fd,
-                     bool keep_alive, uint64_t startup_ns);
-
   ucontext_t* context() { return &stack_->ctx; }
   ucontext_t* scheduler_context() { return scheduler_ctx_; }
 

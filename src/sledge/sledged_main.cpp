@@ -17,11 +17,6 @@
 //   "pool_per_thread": 8,        // free-list entries kept per thread
 //   "pool_global": 64,           // global overflow cap / reclaim watermark
 //   "instantiation": "pooled",   // | "cold" | "snapshot" (COW templates)
-//   "warm_pool": true,           // autoscaled pre-built snapshot sandboxes
-//   "warm_pool_max": 8,          // per-module cap on pre-built sandboxes
-//   "warm_pool_interval_us": 2000,   // replenisher period / sizing horizon
-//   "warm_pool_headroom": 1.5,   // over-provisioning factor on arrival rate
-//   "warm_pool_idle_decay_ms": 2000, // idle modules decay to target 0
 //   "tier": "aot",               // | "aot_o1" | "interp_fast" | "interp"
 //   "bounds": "vm_guard",        // | "software" | "mpx_sim" | "none"
 //   "budget_us": 0,          // per-request CPU budget; over-budget -> 504
@@ -158,21 +153,6 @@ Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
     return Result<runtime::RuntimeConfig>::error("unknown instantiation: " +
                                                  inst);
   }
-  if (doc["warm_pool"].is_bool()) {
-    cfg.warm_pool.enabled = doc["warm_pool"].as_bool();
-  }
-  cfg.warm_pool.max_per_module = static_cast<int>(
-      doc["warm_pool_max"].as_int(cfg.warm_pool.max_per_module));
-  cfg.warm_pool.replenish_interval_us = static_cast<uint64_t>(
-      doc["warm_pool_interval_us"].as_int(
-          static_cast<int64_t>(cfg.warm_pool.replenish_interval_us)));
-  cfg.warm_pool.headroom =
-      doc["warm_pool_headroom"].as_number(cfg.warm_pool.headroom);
-  cfg.warm_pool.idle_decay_us =
-      static_cast<uint64_t>(doc["warm_pool_idle_decay_ms"].as_int(
-          static_cast<int64_t>(cfg.warm_pool.idle_decay_us / 1000))) *
-      1000;
-
   const std::string& tier = doc["tier"].as_string();
   if (tier == "interp") {
     cfg.engine.tier = engine::Tier::kInterp;

@@ -4,7 +4,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <cmath>
 #include <cstring>
 
 #include "common/log.hpp"
@@ -161,21 +160,6 @@ void SnapshotRegistry::reset_counters() {
   misses_.store(0, std::memory_order_relaxed);
   builds_.store(0, std::memory_order_relaxed);
   build_failures_.store(0, std::memory_order_relaxed);
-}
-
-int warm_pool_target(double rate_per_sec, uint64_t idle_ns,
-                     const WarmPoolConfig& config) {
-  if (!config.enabled || config.max_per_module <= 0) return 0;
-  if (idle_ns > config.idle_decay_us * 1000) return 0;
-  if (rate_per_sec <= 0.0) return 0;
-  double interval_s =
-      static_cast<double>(config.replenish_interval_us) / 1e6;
-  double want = std::ceil(rate_per_sec * interval_s * config.headroom);
-  if (want < 0.0) want = 0.0;
-  if (want > static_cast<double>(config.max_per_module)) {
-    want = static_cast<double>(config.max_per_module);
-  }
-  return static_cast<int>(want);
 }
 
 }  // namespace sledge::runtime

@@ -1,5 +1,4 @@
-// Snapshot/COW instantiation (the Lumos-style template tier) plus the
-// warm-pool autoscaler that pre-builds snapshot-backed sandboxes.
+// Snapshot/COW instantiation (the Lumos-style template tier).
 //
 // After a module's first successful instantiation (start function run,
 // globals and data segments settled), the post-start linear memory image is
@@ -19,12 +18,6 @@
 // a retiring sandbox's region is remapped to the pristine view and parked
 // on its template (stash_memory/adopt_memory), so the next snapshot
 // instantiation is syscall-free. See DESIGN.md §14.
-//
-// On top, WarmPool + ArrivalRateEstimator + warm_pool_target() implement
-// per-module warm-pool autoscaling: a background replenisher (Runtime)
-// sizes each pool from the observed arrival rate over a sliding window
-// (the SlackPredictor ring idiom from admission.hpp), pre-builds
-// snapshot-backed sandboxes, and decays idle modules back to zero.
 #pragma once
 
 #include <atomic>
@@ -36,13 +29,12 @@
 #include <vector>
 
 #include "engine/engine.hpp"
-#include "sledge/sandbox.hpp"
 
 namespace sledge::runtime {
 
 // A built template: sealed memfd holding the post-start memory image plus
 // the captured mutable instance state. Immutable after construction; shared
-// read-only between the listener, workers and the replenisher.
+// read-only between the listener and workers.
 struct SnapshotTemplate {
   int fd = -1;                  // sealed memfd (SEAL_SHRINK|GROW|WRITE)
   uint64_t content_bytes = 0;   // image size (page multiple, >= min_pages)
@@ -124,126 +116,6 @@ class SnapshotRegistry {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> builds_{0};
   std::atomic<uint64_t> build_failures_{0};
-};
-
-// Sliding-window arrival-rate estimator: a lock-free ring of the last
-// kWindow arrival timestamps (the SlackPredictor ring idiom — single
-// conceptual writer per module via the listener/broker, racy reads
-// tolerated because the output only sizes a warm pool).
-class ArrivalRateEstimator {
- public:
-  static constexpr int kWindow = 64;
-
-  void note_arrival(uint64_t now_ns) {
-    uint64_t ticket = count_.fetch_add(1, std::memory_order_relaxed);
-    stamps_[ticket % kWindow].store(now_ns, std::memory_order_relaxed);
-    last_.store(now_ns, std::memory_order_release);
-  }
-
-  // Arrivals per second over the window ending at `now_ns`; 0 until two
-  // arrivals have been observed.
-  double rate_per_sec(uint64_t now_ns) const {
-    uint64_t c = count_.load(std::memory_order_acquire);
-    if (c < 2) return 0.0;
-    uint64_t n = c < kWindow ? c : kWindow;
-    // After c arrivals, slot c % kWindow holds the oldest retained stamp
-    // (arrival c - kWindow); below a full window the oldest is slot 0.
-    uint64_t oldest =
-        stamps_[c >= kWindow ? c % kWindow : 0].load(std::memory_order_relaxed);
-    if (now_ns <= oldest) return 0.0;
-    return static_cast<double>(n) /
-           (static_cast<double>(now_ns - oldest) / 1e9);
-  }
-
-  // Monotonic timestamp of the most recent arrival (0 = never).
-  uint64_t last_arrival_ns() const {
-    return last_.load(std::memory_order_acquire);
-  }
-
-  uint64_t total() const { return count_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> stamps_[kWindow] = {};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> last_{0};
-};
-
-// Autoscaler policy knobs (RuntimeConfig::warm_pool).
-struct WarmPoolConfig {
-  bool enabled = true;
-  // Hard per-module cap on pre-built sandboxes.
-  int max_per_module = 8;
-  // Replenisher pass period; also the coverage horizon the target sizes
-  // for (arrivals expected before the next pass).
-  uint64_t replenish_interval_us = 2000;
-  // Over-provisioning factor on the expected arrivals per interval.
-  double headroom = 1.5;
-  // A module with no arrival for this long decays to a target of zero
-  // (its pre-built sandboxes are dropped back to the resource pool).
-  uint64_t idle_decay_us = 2'000'000;
-};
-
-// Pure autoscaler policy: pre-build enough sandboxes to cover the arrivals
-// expected in one replenish interval (rate × interval × headroom, rounded
-// up), clamped to [0, max_per_module]; idle modules decay to zero. Split
-// out so the schedule math is unit-testable without threads.
-int warm_pool_target(double rate_per_sec, uint64_t idle_ns,
-                     const WarmPoolConfig& config);
-
-// Per-module stash of pre-built, never-dispatched snapshot-backed
-// sandboxes. pop() is the admission fast path (listener / invoke broker);
-// push() is the replenisher. target is written by the replenisher only.
-class WarmPool {
- public:
-  std::unique_ptr<Sandbox> pop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ready_.empty()) return nullptr;
-    std::unique_ptr<Sandbox> sb = std::move(ready_.back());
-    ready_.pop_back();
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return sb;
-  }
-
-  // False (sandbox dropped by the caller) once the pool is at its target —
-  // covers the race where the target decayed mid-build.
-  bool push(std::unique_ptr<Sandbox> sb) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (static_cast<int>(ready_.size()) >= target()) return false;
-    ready_.push_back(std::move(sb));
-    refills_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  void clear() {
-    std::vector<std::unique_ptr<Sandbox>> drop;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      drop.swap(ready_);
-    }
-    // Sandboxes destruct outside the lock (they release pooled resources).
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ready_.size();
-  }
-
-  void set_target(int t) { target_.store(t, std::memory_order_release); }
-  int target() const { return target_.load(std::memory_order_acquire); }
-
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t refills() const {
-    return refills_.load(std::memory_order_relaxed);
-  }
-
-  ArrivalRateEstimator arrivals;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Sandbox>> ready_;
-  std::atomic<int> target_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> refills_{0};
 };
 
 }  // namespace sledge::runtime

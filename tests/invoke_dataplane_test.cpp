@@ -304,9 +304,14 @@ TEST(InvokeDataplaneTest, StreamChainHandsOffHttpConnection) {
               std::string::npos);
     EXPECT_NE(metrics->find("sledge_invoke_handoff_seconds"),
               std::string::npos);
+    // Once the chain drains, the leak probe is scrapeable from the live
+    // stats, not only from the shutdown report.
+    expect_no_outstanding_transfers("stream chain drained");
     auto doc = json::parse(rt.stats_json());
     ASSERT_TRUE(doc.ok()) << doc.error_message();
     EXPECT_GT((*doc)["modules"]["echo"]["invoke_zerocopy"].as_int(0), 0);
+    EXPECT_EQ((*doc)["pool"]["transfer_outstanding"].as_int(-1), 0);
+    EXPECT_GT((*doc)["pool"]["transfer_hits"].as_int(0), 0);
     rt.stop();
     expect_no_outstanding_transfers("after stream chain");
   }

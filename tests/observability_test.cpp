@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -231,12 +232,29 @@ TEST(ObservabilityTest, AdminMetricsPrometheusExposition) {
            "# TYPE sledge_queue_wait_seconds summary",
            "sledge_queue_wait_seconds{module=\"ping\",quantile=\"0.99\"}",
            "sledge_startup_seconds_count{module=\"ping\"} 3",
+           "# TYPE sledge_startup_pooled_seconds summary",
+           "# TYPE sledge_startup_cold_seconds summary",
            "sledge_exec_cpu_seconds_sum{module=\"ping\"}",
            "sledge_response_write_seconds_count{module=\"ping\"} 3",
            "sledge_end_to_end_seconds{module=\"ping\",quantile=\"0.5\"}",
        }) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle << "\n" << text;
   }
+  // The startup splits partition the startup total. Which split the first
+  // request lands in depends on whether the process-wide pool is already
+  // warm, so only their sum is fixed.
+  auto count_of = [&text](const std::string& series) -> long {
+    const std::string key = series + "_count{module=\"ping\"} ";
+    size_t at = text.find(key);
+    return at == std::string::npos
+               ? -1
+               : std::strtol(text.c_str() + at + key.size(), nullptr, 10);
+  };
+  long pooled = count_of("sledge_startup_pooled_seconds");
+  long cold = count_of("sledge_startup_cold_seconds");
+  EXPECT_GE(pooled, 0);
+  EXPECT_GE(cold, 0);
+  EXPECT_EQ(pooled + cold, 3) << text;
   rt.stop();
 }
 

@@ -1,9 +1,8 @@
 // Concurrency soaks for the snapshot subsystem, sanitizer-safe: sandboxes
 // are created and destroyed but never dispatched (no ucontext swaps, which
 // TSan cannot track), interpreter tiers only. Covers the registry's
-// build-once guarantee under racing first requests, concurrent
-// snapshot-backed create/destroy cycling through the resource pool, and
-// WarmPool push/pop against a replenisher-style producer.
+// build-once guarantee under racing first requests, and concurrent
+// snapshot-backed create/destroy cycling through the resource pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -112,65 +111,6 @@ TEST_F(SnapshotSoakTest, ConcurrentCreateDestroyThroughPool) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  SnapshotRegistry::instance().invalidate(&mod.value());
-}
-
-// WarmPool under a replenisher-style producer racing consumers: every
-// sandbox is either popped exactly once or dropped by clear()/push-refusal;
-// counters reconcile.
-TEST_F(SnapshotSoakTest, WarmPoolProducerConsumerRace) {
-  auto mod = load_module();
-  ASSERT_TRUE(mod.ok()) << mod.error_message();
-  ASSERT_NE(SnapshotRegistry::instance().get_or_build(&mod.value()), nullptr);
-
-  WarmPool pool;
-  pool.set_target(4);
-  std::atomic<bool> run{true};
-  std::atomic<int> produced{0};
-
-  std::thread producer([&]() {
-    while (run.load(std::memory_order_acquire)) {
-      auto sb = Sandbox::create(&mod.value(), {}, -1, false,
-                                InstantiationMode::kSnapshot);
-      if (!sb) continue;
-      if (pool.push(std::move(sb))) {
-        produced.fetch_add(1, std::memory_order_relaxed);
-      }
-      // At-target pushes return false and the sandbox is dropped here,
-      // exactly like the runtime replenisher.
-    }
-  });
-
-  std::atomic<int> consumed{0};
-  constexpr int kConsumers = 4;
-  constexpr int kWantEach = 25;
-  std::vector<std::thread> consumers;
-  consumers.reserve(kConsumers);
-  for (int t = 0; t < kConsumers; ++t) {
-    consumers.emplace_back([&]() {
-      int got = 0;
-      while (got < kWantEach) {
-        auto sb = pool.pop();
-        if (sb) {
-          ++got;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-      consumed.fetch_add(got, std::memory_order_relaxed);
-    });
-  }
-  for (std::thread& t : consumers) t.join();
-  run.store(false, std::memory_order_release);
-  producer.join();
-  pool.set_target(0);
-  pool.clear();
-
-  EXPECT_EQ(consumed.load(), kConsumers * kWantEach);
-  EXPECT_EQ(pool.size(), 0u);
-  // Everything consumed was produced; the remainder was drained by clear().
-  EXPECT_GE(produced.load(), consumed.load());
-  EXPECT_EQ(pool.hits(), static_cast<uint64_t>(consumed.load()));
   SnapshotRegistry::instance().invalidate(&mod.value());
 }
 

@@ -1,8 +1,7 @@
 // Snapshot/COW instantiation subsystem: sealed memfd templates, the
 // MAP_PRIVATE seeded-instantiate path, the tenant-isolation guarantees the
 // design leans on (private mappings + recycle-to-zero after a template
-// mapping), graceful degradation when memfd_create is unavailable, and the
-// warm-pool autoscaler policy math.
+// mapping), and graceful degradation when memfd_create is unavailable.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -346,91 +345,6 @@ TEST_F(SnapshotTest, RegistryBuildsOncePerModuleAndInvalidates) {
   SnapshotRegistry::instance().invalidate(&mod.value());
 }
 
-// ---- Autoscaler policy math ----------------------------------------------
-
-TEST(WarmPoolTargetTest, PolicyMath) {
-  WarmPoolConfig cfg;  // max 8, interval 2000us, headroom 1.5, decay 2s
-  // Disabled or capped out: always zero.
-  WarmPoolConfig off = cfg;
-  off.enabled = false;
-  EXPECT_EQ(warm_pool_target(1000.0, 0, off), 0);
-  WarmPoolConfig zero_cap = cfg;
-  zero_cap.max_per_module = 0;
-  EXPECT_EQ(warm_pool_target(1000.0, 0, zero_cap), 0);
-  // No traffic or idle past the decay window: zero.
-  EXPECT_EQ(warm_pool_target(0.0, 0, cfg), 0);
-  EXPECT_EQ(warm_pool_target(1000.0, 3'000'000'000ull, cfg), 0);
-  // rate * interval * headroom, rounded up: 1000/s * 2ms * 1.5 = 3.
-  EXPECT_EQ(warm_pool_target(1000.0, 0, cfg), 3);
-  // Rounding up: 100/s * 2ms * 1.5 = 0.3 -> 1.
-  EXPECT_EQ(warm_pool_target(100.0, 0, cfg), 1);
-  // Clamped at max_per_module.
-  EXPECT_EQ(warm_pool_target(1e7, 0, cfg), 8);
-  // Idle exactly at the decay boundary still counts as active.
-  EXPECT_EQ(warm_pool_target(1000.0, 2'000'000'000ull, cfg), 3);
-}
-
-TEST(ArrivalRateEstimatorTest, WindowedRate) {
-  ArrivalRateEstimator est;
-  EXPECT_DOUBLE_EQ(est.rate_per_sec(1'000'000'000ull), 0.0);  // no arrivals
-  est.note_arrival(1'000'000'000ull);
-  EXPECT_DOUBLE_EQ(est.rate_per_sec(2'000'000'000ull), 0.0);  // one arrival
-
-  // 10 arrivals 1ms apart starting at t=1s: oldest retained is t=1s, so at
-  // the last arrival (t=1.009s) the rate is 10 / 9ms.
-  for (int i = 1; i < 10; ++i) {
-    est.note_arrival(1'000'000'000ull + static_cast<uint64_t>(i) * 1'000'000);
-  }
-  EXPECT_EQ(est.total(), 10u);
-  EXPECT_EQ(est.last_arrival_ns(), 1'009'000'000ull);
-  EXPECT_NEAR(est.rate_per_sec(1'009'000'000ull), 10.0 / 0.009, 1e-6);
-
-  // Fill past the window: the oldest retained stamp slides forward.
-  for (int i = 10; i < 200; ++i) {
-    est.note_arrival(1'000'000'000ull + static_cast<uint64_t>(i) * 1'000'000);
-  }
-  // 200 arrivals total; window holds the last 64. Oldest retained is
-  // arrival 136 (t = 1s + 136ms), newest is t = 1s + 199ms.
-  double rate = est.rate_per_sec(1'199'000'000ull);
-  EXPECT_NEAR(rate, 64.0 / 0.063, 1e-6);
-}
-
-TEST(WarmPoolTest, PushPopHonorsTarget) {
-  auto wasm = minicc::compile_to_wasm(testutil::spin_src(1));
-  ASSERT_TRUE(wasm.ok()) << wasm.error_message();
-  engine::WasmModule::Config cfg;
-  cfg.tier = engine::Tier::kInterpFast;
-  auto mod = engine::WasmModule::load(*wasm, cfg);
-  ASSERT_TRUE(mod.ok()) << mod.error_message();
-
-  WarmPool pool;
-  EXPECT_EQ(pool.pop(), nullptr);  // empty
-  auto make = [&]() {
-    return Sandbox::create(&mod.value(), {}, -1, false,
-                           InstantiationMode::kPooled);
-  };
-  // Target 0: pushes are refused (replenisher lost the race with decay).
-  EXPECT_FALSE(pool.push(make()));
-  EXPECT_EQ(pool.size(), 0u);
-
-  pool.set_target(2);
-  EXPECT_TRUE(pool.push(make()));
-  EXPECT_TRUE(pool.push(make()));
-  EXPECT_FALSE(pool.push(make()));  // at target
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.refills(), 2u);
-
-  EXPECT_NE(pool.pop(), nullptr);
-  EXPECT_NE(pool.pop(), nullptr);
-  EXPECT_EQ(pool.pop(), nullptr);
-  EXPECT_EQ(pool.hits(), 2u);
-
-  pool.set_target(1);
-  EXPECT_TRUE(pool.push(make()));
-  pool.clear();
-  EXPECT_EQ(pool.size(), 0u);
-}
-
 // ---- End-to-end through the runtime --------------------------------------
 
 // A runtime configured for snapshot instantiation serves correct responses
@@ -448,7 +362,6 @@ int main() { out[0] = 111; out[1] = 107; resp_write(out, 2); return 0; }
   cfg.num_listeners = 1;
   cfg.engine.tier = engine::Tier::kInterpFast;
   cfg.instantiation = InstantiationMode::kSnapshot;
-  cfg.warm_pool.enabled = false;  // deterministic: every request on-demand
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ok", *wasm).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
