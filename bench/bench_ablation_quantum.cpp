@@ -2,7 +2,8 @@
 // strong control over sandboxing preemptions and scheduling overheads").
 // A long-running spin function shares one worker with latency-sensitive
 // pings; we sweep the round-robin quantum and report ping latency and the
-// preemption count, including a cooperative-only (no preemption) row.
+// preemption count, including a cooperative row (sched=fifo: the quantum
+// timer is never armed).
 #include <thread>
 
 #include "bench_server_util.hpp"
@@ -39,20 +40,20 @@ int main() {
   struct Config {
     const char* label;
     uint64_t quantum_us;
-    bool preemption;
+    runtime::SchedPolicy sched;
   };
   const Config kConfigs[] = {
-      {"1ms", 1000, true},
-      {"5ms (paper)", 5000, true},
-      {"20ms", 20000, true},
-      {"cooperative", 5000, false},
+      {"1ms", 1000, runtime::SchedPolicy::kRoundRobin},
+      {"5ms (paper)", 5000, runtime::SchedPolicy::kRoundRobin},
+      {"20ms", 20000, runtime::SchedPolicy::kRoundRobin},
+      {"cooperative", 5000, runtime::SchedPolicy::kFifoRunToCompletion},
   };
 
   for (const Config& c : kConfigs) {
     runtime::RuntimeConfig cfg;
     cfg.workers = 1;
     cfg.quantum_us = c.quantum_us;
-    cfg.preemption = c.preemption;
+    cfg.sched = c.sched;
     runtime::Runtime rt(cfg);
     if (!rt.register_module("ping", ping.value()).is_ok()) return 1;
     if (!rt.register_module("spin", spin.value()).is_ok()) return 1;

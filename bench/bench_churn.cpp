@@ -7,7 +7,8 @@
 // Reports avg and p99 over SLEDGE_BENCH_ITERS iterations (default 300;
 // paper used 10k), plus the creation-only component — for each of the
 // three instantiation tiers:
-//   cold     fresh mmap reservation per sandbox (resource pool bypassed)
+//   cold     fresh mmap reservation and stack per sandbox, both unmapped
+//            at teardown (never touches the resource pool)
 //   pooled   recycled reservation from the sandbox resource pool
 //   snapshot pooled reservation + MAP_PRIVATE mmap of the sealed memfd
 //            template (post-start image materializes copy-on-write; no
@@ -29,19 +30,16 @@ using namespace sledge::bench;
 
 namespace {
 
-// One per-tier measurement pass: reconfigure + drain the process-wide pool,
-// warm unrelated caches with a throwaway request (which also builds the
+// One per-tier measurement pass: drain the process-wide pool, warm
+// unrelated caches with a throwaway request (which also builds the
 // snapshot template on the snapshot tier), then time Sandbox::create over
 // `iters` full create/run/teardown cycles (teardown is what refills the
 // free lists between pooled iterations).
 bool measure_create(const engine::WasmModule* mod,
                     const std::vector<uint8_t>& request, int iters,
-                    runtime::InstantiationMode mode, bool pool_enabled,
+                    runtime::InstantiationMode mode,
                     LatencyHistogram* create_only) {
   auto& pool = runtime::SandboxResourcePool::instance();
-  runtime::SandboxResourcePool::Config pc;
-  pc.enabled = pool_enabled;
-  pool.configure(pc);
   pool.purge();
   pool.reset_counters();
   {
@@ -64,19 +62,16 @@ struct Tiers {
   LatencyHistogram cold, pooled, snapshot;
 };
 
-// Cold runs with the pool disabled AND the cold mode (fresh reservation,
-// fresh stack); pooled/snapshot run with the pool enabled so recycled
-// reservations are what get measured.
 bool measure_tiers(const engine::WasmModule* mod,
                    const std::vector<uint8_t>& request, int iters, Tiers* t) {
   using runtime::InstantiationMode;
   runtime::SnapshotRegistry::instance().reset_counters();
   return measure_create(mod, request, iters, InstantiationMode::kCold,
-                        /*pool_enabled=*/false, &t->cold) &&
+                        &t->cold) &&
          measure_create(mod, request, iters, InstantiationMode::kPooled,
-                        /*pool_enabled=*/true, &t->pooled) &&
+                        &t->pooled) &&
          measure_create(mod, request, iters, InstantiationMode::kSnapshot,
-                        /*pool_enabled=*/true, &t->snapshot);
+                        &t->snapshot);
 }
 
 double p50_us(const LatencyHistogram& h) {

@@ -396,11 +396,12 @@ int main(int argc, char** argv) {
                "  \"workload\": {\"reqs\": %llu, \"conc\": %d, "
                "\"chained_calls\": %d, \"payload_bytes\": %zu, "
                "\"workers\": 3, \"batches\": %d, "
-               "\"invokes_shm_run\": %llu},\n"
-               "  \"legs\": [\n",
+               "\"invokes_shm_run\": %llu, \"smoke\": %s},\n"
+               "  \"host_cores\": %u,\n  \"legs\": [\n",
                static_cast<unsigned long long>(reqs), conc, calls,
                payload_len, kBatches,
-               static_cast<unsigned long long>(zerocopy_invokes));
+               static_cast<unsigned long long>(zerocopy_invokes),
+               smoke ? "true" : "false", std::thread::hardware_concurrency());
   for (size_t i = 0; i < legs.size(); ++i) {
     const Leg& l = legs[i];
     std::fprintf(f,

@@ -554,7 +554,7 @@ Listener::Consume Listener::process_bytes(Conn* conn, const char* data,
     std::vector<uint8_t> body = std::move(req.body);
     std::unique_ptr<Sandbox> sb =
         Sandbox::create(&mod->module, std::move(body), conn->fd, keep_alive,
-                        rt_->module_instantiation(mod));
+                        rt_->config().instantiation);
     if (!sb) {
       rt_->note_shed(mod);
       std::string header = http::serialize_response_header(

@@ -10,8 +10,6 @@
 
 namespace sledge::runtime {
 
-namespace {
-
 void destroy_stack(ExecStack* stack) {
   if (!stack) return;
   if (stack->guard_id >= 0) engine::unregister_guard_region(stack->guard_id);
@@ -35,6 +33,8 @@ ExecStack* create_stack(size_t stack_size, size_t guard_size) {
   }
   return stack;
 }
+
+namespace {
 
 // Per-thread free lists. The destructor runs at thread exit and flushes
 // into the (never-destructed) global pool, so thread-cached resources
@@ -102,17 +102,8 @@ ThreadCache::~ThreadCache() {
 }
 
 void SandboxResourcePool::configure(const Config& config) {
-  enabled_.store(config.enabled, std::memory_order_release);
   per_thread_cap_.store(config.per_thread_cap, std::memory_order_release);
   global_cap_.store(config.global_cap, std::memory_order_release);
-}
-
-SandboxResourcePool::Config SandboxResourcePool::config() const {
-  Config cfg;
-  cfg.enabled = enabled_.load(std::memory_order_acquire);
-  cfg.per_thread_cap = per_thread_cap_.load(std::memory_order_acquire);
-  cfg.global_cap = global_cap_.load(std::memory_order_acquire);
-  return cfg;
 }
 
 engine::LinearMemory SandboxResourcePool::acquire_memory(
@@ -123,36 +114,34 @@ engine::LinearMemory SandboxResourcePool::acquire_memory(
   const uint64_t reserved =
       engine::LinearMemory::reservation_bytes(strategy, max_pages);
 
-  if (enabled_.load(std::memory_order_acquire)) {
-    engine::LinearMemory pooled;
-    // Thread-local list first (lock-free), then the global buckets.
-    for (size_t i = 0; i < t_cache.memories.size(); ++i) {
-      engine::LinearMemory& m = t_cache.memories[i];
-      if (m.strategy() == strategy && m.reserved_bytes() == reserved) {
-        pooled = std::move(m);
-        t_cache.memories.erase(t_cache.memories.begin() +
-                               static_cast<ptrdiff_t>(i));
+  engine::LinearMemory pooled;
+  // Thread-local list first (lock-free), then the global buckets.
+  for (size_t i = 0; i < t_cache.memories.size(); ++i) {
+    engine::LinearMemory& m = t_cache.memories[i];
+    if (m.strategy() == strategy && m.reserved_bytes() == reserved) {
+      pooled = std::move(m);
+      t_cache.memories.erase(t_cache.memories.begin() +
+                             static_cast<ptrdiff_t>(i));
+      break;
+    }
+  }
+  if (!pooled.valid()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (MemBucket& bucket : mem_buckets_) {
+      if (bucket.strategy == strategy &&
+          bucket.reserved_bytes == reserved && !bucket.free.empty()) {
+        pooled = std::move(bucket.free.back());
+        bucket.free.pop_back();
         break;
       }
     }
-    if (!pooled.valid()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (MemBucket& bucket : mem_buckets_) {
-        if (bucket.strategy == strategy &&
-            bucket.reserved_bytes == reserved && !bucket.free.empty()) {
-          pooled = std::move(bucket.free.back());
-          bucket.free.pop_back();
-          break;
-        }
-      }
-    }
-    if (pooled.valid() && pooled.reset(min_pages, max_pages)) {
-      memory_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (from_pool) *from_pool = true;
-      return pooled;
-    }
-    // reset() failure drops `pooled` (released to the OS) and goes cold.
   }
+  if (pooled.valid() && pooled.reset(min_pages, max_pages)) {
+    memory_hits_.fetch_add(1, std::memory_order_relaxed);
+    if (from_pool) *from_pool = true;
+    return pooled;
+  }
+  // reset() failure drops `pooled` (released to the OS) and goes cold.
 
   memory_misses_.fetch_add(1, std::memory_order_relaxed);
   auto fresh = engine::LinearMemory::create(strategy, min_pages, max_pages);
@@ -161,10 +150,7 @@ engine::LinearMemory SandboxResourcePool::acquire_memory(
 }
 
 void SandboxResourcePool::release_memory(engine::LinearMemory mem) {
-  if (!mem.valid()) return;
-  if (!enabled_.load(std::memory_order_acquire) || !mem.recycle()) {
-    return;  // destructor unmaps
-  }
+  if (!mem.valid() || !mem.recycle()) return;  // destructor unmaps
   int cap = per_thread_cap_.load(std::memory_order_acquire);
   if (t_cache.acquirer && static_cast<int>(t_cache.memories.size()) < cap) {
     t_cache.memories.push_back(std::move(mem));
@@ -202,28 +188,26 @@ ExecStack* SandboxResourcePool::acquire_stack(size_t stack_size,
   if (from_pool) *from_pool = false;
   t_cache.acquirer = true;
   const size_t total = stack_size + guard_size;
-  if (enabled_.load(std::memory_order_acquire)) {
-    for (size_t i = 0; i < t_cache.stacks.size(); ++i) {
-      ExecStack* s = t_cache.stacks[i];
+  for (size_t i = 0; i < t_cache.stacks.size(); ++i) {
+    ExecStack* s = t_cache.stacks[i];
+    if (s->size == total && s->guard_size == guard_size) {
+      t_cache.stacks.erase(t_cache.stacks.begin() +
+                           static_cast<ptrdiff_t>(i));
+      stack_hits_.fetch_add(1, std::memory_order_relaxed);
+      if (from_pool) *from_pool = true;
+      return s;
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < stacks_.size(); ++i) {
+      ExecStack* s = stacks_[i];
       if (s->size == total && s->guard_size == guard_size) {
-        t_cache.stacks.erase(t_cache.stacks.begin() +
-                             static_cast<ptrdiff_t>(i));
+        stacks_[i] = stacks_.back();
+        stacks_.pop_back();
         stack_hits_.fetch_add(1, std::memory_order_relaxed);
         if (from_pool) *from_pool = true;
         return s;
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (size_t i = 0; i < stacks_.size(); ++i) {
-        ExecStack* s = stacks_[i];
-        if (s->size == total && s->guard_size == guard_size) {
-          stacks_[i] = stacks_.back();
-          stacks_.pop_back();
-          stack_hits_.fetch_add(1, std::memory_order_relaxed);
-          if (from_pool) *from_pool = true;
-          return s;
-        }
       }
     }
   }
@@ -233,10 +217,6 @@ ExecStack* SandboxResourcePool::acquire_stack(size_t stack_size,
 
 void SandboxResourcePool::release_stack(ExecStack* stack) {
   if (!stack) return;
-  if (!enabled_.load(std::memory_order_acquire)) {
-    destroy_stack(stack);
-    return;
-  }
   int cap = per_thread_cap_.load(std::memory_order_acquire);
   if (t_cache.acquirer && static_cast<int>(t_cache.stacks.size()) < cap) {
     t_cache.stacks.push_back(stack);
@@ -254,42 +234,40 @@ TransferBuffer* SandboxResourcePool::acquire_transfer(size_t min_cap,
   if (from_pool) *from_pool = false;
   const size_t cap = round_up_pow2(min_cap);
   t_cache.transfer_acquirer = true;
-  if (enabled_.load(std::memory_order_acquire)) {
-    TransferBuffer* pooled = nullptr;
-    // Thread-local tier first (lock-free; with locality-hinted placement
-    // the same worker releases and re-acquires, so the hot invoke path
-    // never touches the global mutex). Newest first — warmest cache lines.
-    for (size_t i = t_cache.transfers.size(); i-- > 0;) {
-      if (t_cache.transfers[i]->cap == cap) {
-        pooled = t_cache.transfers[i];
-        t_cache.transfers.erase(t_cache.transfers.begin() +
-                                static_cast<ptrdiff_t>(i));
+  TransferBuffer* pooled = nullptr;
+  // Thread-local tier first (lock-free; with locality-hinted placement the
+  // same worker releases and re-acquires, so the hot invoke path never
+  // touches the global mutex). Newest first — warmest cache lines.
+  for (size_t i = t_cache.transfers.size(); i-- > 0;) {
+    if (t_cache.transfers[i]->cap == cap) {
+      pooled = t_cache.transfers[i];
+      t_cache.transfers.erase(t_cache.transfers.begin() +
+                              static_cast<ptrdiff_t>(i));
+      break;
+    }
+  }
+  if (!pooled) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (TransferBucket& bucket : transfer_buckets_) {
+      if (bucket.cap == cap && !bucket.free.empty()) {
+        pooled = bucket.free.back();
+        bucket.free.pop_back();
         break;
       }
     }
-    if (!pooled) {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (TransferBucket& bucket : transfer_buckets_) {
-        if (bucket.cap == cap && !bucket.free.empty()) {
-          pooled = bucket.free.back();
-          bucket.free.pop_back();
-          break;
-        }
-      }
+  }
+  if (pooled) {
+    if (pooled->tenant != tenant) {
+      // Cross-tenant reuse: scrub the previous occupant's payload, same
+      // contract as zero-on-reuse linear memories.
+      std::memset(pooled->data, 0, pooled->cap);
+      pooled->tenant = tenant;
     }
-    if (pooled) {
-      if (pooled->tenant != tenant) {
-        // Cross-tenant reuse: scrub the previous occupant's payload, same
-        // contract as zero-on-reuse linear memories.
-        std::memset(pooled->data, 0, pooled->cap);
-        pooled->tenant = tenant;
-      }
-      pooled->len = 0;
-      transfer_hits_.fetch_add(1, std::memory_order_relaxed);
-      transfer_outstanding_.fetch_add(1, std::memory_order_relaxed);
-      if (from_pool) *from_pool = true;
-      return pooled;
-    }
+    pooled->len = 0;
+    transfer_hits_.fetch_add(1, std::memory_order_relaxed);
+    transfer_outstanding_.fetch_add(1, std::memory_order_relaxed);
+    if (from_pool) *from_pool = true;
+    return pooled;
   }
   void* data = std::calloc(1, cap);
   if (!data) return nullptr;
@@ -305,15 +283,13 @@ TransferBuffer* SandboxResourcePool::acquire_transfer(size_t min_cap,
 void SandboxResourcePool::release_transfer(TransferBuffer* tb) {
   if (!tb) return;
   transfer_outstanding_.fetch_sub(1, std::memory_order_relaxed);
-  if (enabled_.load(std::memory_order_acquire)) {
-    int cap = per_thread_cap_.load(std::memory_order_acquire);
-    if (t_cache.transfer_acquirer &&
-        static_cast<int>(t_cache.transfers.size()) < cap) {
-      t_cache.transfers.push_back(tb);
-      return;
-    }
-    if (pool_transfer_global(tb)) return;
+  int cap = per_thread_cap_.load(std::memory_order_acquire);
+  if (t_cache.transfer_acquirer &&
+      static_cast<int>(t_cache.transfers.size()) < cap) {
+    t_cache.transfers.push_back(tb);
+    return;
   }
+  if (pool_transfer_global(tb)) return;
   released_.fetch_add(1, std::memory_order_relaxed);
   destroy_transfer(tb);
 }

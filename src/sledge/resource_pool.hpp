@@ -26,6 +26,9 @@
 //     are NOT zeroed: the split-stack design means sandboxed loads/stores
 //     cannot address the C stack, so stale contents are unreachable.
 //
+// Cold starts (InstantiationMode::kCold) bypass the pool entirely: a fresh
+// memory and stack per sandbox, both handed back to the OS at teardown.
+//
 // Structure: each acquiring thread keeps a small free list (fast, no
 // locks; sized by per_thread_cap) and overflows into a bounded global pool
 // (mutex; sized by global_cap, the reclaim watermark — resources beyond it
@@ -56,6 +59,11 @@ struct ExecStack {
   int guard_id = -1;
   ucontext_t ctx;
 };
+
+// Maps and guard-registers a fresh stack (nullptr on mmap failure), and
+// undoes all of it: the pool's miss/reclaim paths and every cold start.
+ExecStack* create_stack(size_t stack_size, size_t guard_size);
+void destroy_stack(ExecStack* stack);
 
 // A reusable payload carrier for the zero-copy invoke dataplane: the parent
 // writes its request at [0, len), the child reads it through its
@@ -89,7 +97,6 @@ class TransferLoan {
 class SandboxResourcePool {
  public:
   struct Config {
-    bool enabled = true;
     // Free-list entries kept per thread before overflowing to the global
     // pool (applies independently to memories and stacks).
     int per_thread_cap = 8;
@@ -114,7 +121,6 @@ class SandboxResourcePool {
   static SandboxResourcePool& instance();
 
   void configure(const Config& config);
-  Config config() const;
 
   // Pops a region matching (strategy, reservation-for-max_pages) and
   // reset()s it to the requested spec; falls back to LinearMemory::create
@@ -123,8 +129,7 @@ class SandboxResourcePool {
                                       uint32_t min_pages, uint32_t max_pages,
                                       bool* from_pool = nullptr);
   // Recycles (zeroes, see LinearMemory::recycle) and pools `mem`; releases
-  // it to the OS when the pool is disabled, recycling fails, or caps are
-  // hit.
+  // it to the OS when recycling fails or caps are hit.
   void release_memory(engine::LinearMemory mem);
 
   // Pops a pooled stack of exactly (stack_size, guard_size), or maps and
@@ -146,7 +151,7 @@ class SandboxResourcePool {
 
   // Drops the global free lists and (for the calling thread) the local
   // ones. Other threads' caches drain when those threads exit. Used by
-  // tests and the pooled-vs-cold ablation.
+  // tests and benches that need a known-empty pool.
   void purge();
 
   // Internal (thread-exit flush path): push straight to the global pool,
@@ -166,7 +171,6 @@ class SandboxResourcePool {
 
   // Knobs are atomics so the hot acquire/release paths can check them
   // without taking the global mutex (thread-local hits never lock).
-  std::atomic<bool> enabled_{true};
   std::atomic<int> per_thread_cap_{8};
   std::atomic<int> global_cap_{64};
 

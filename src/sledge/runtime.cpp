@@ -47,7 +47,6 @@ Runtime::Runtime(RuntimeConfig config)
   if (config_.workers < 1) config_.workers = 1;
   dispatcher_ =
       Dispatcher::make(config_.dispatcher, config_.policy, config_.workers);
-  SandboxResourcePool::instance().configure(config_.pool);
 }
 
 Runtime::~Runtime() { stop(); }
@@ -151,13 +150,13 @@ Status Runtime::start() {
   for (auto& l : listeners_) l->start();
   SLEDGE_LOG_INFO(
       "sledge runtime on port %u (%d listeners, %d workers, quantum %lu us, "
-      "%s, dispatcher=%s, sched=%s, admission=%s, pool=%s, dataplane=%s)",
+      "%s, dispatcher=%s, sched=%s, admission=%s, instantiation=%s, "
+      "dataplane=%s)",
       bound_port_, shards, config_.workers,
       static_cast<unsigned long>(config_.quantum_us),
       to_string(config_.policy), to_string(config_.dispatcher),
       to_string(config_.sched), to_string(config_.admission),
-      config_.pool.enabled ? "on" : "off",
-      to_string(config_.invoke_dataplane));
+      to_string(config_.instantiation), to_string(config_.invoke_dataplane));
   return Status::ok();
 }
 
@@ -328,8 +327,7 @@ void Runtime::place_invoke_child(Sandbox* parent, LoadedModule* mod,
   // (deadline order / module affinity dominate in the others), so the
   // invoke_local counter reflects placements actually requested.
   int hint = -1;
-  if (config_.invoke_locality &&
-      dispatcher_->kind() == DispatchPolicy::kWorkStealing) {
+  if (dispatcher_->kind() == DispatchPolicy::kWorkStealing) {
     int pw = parent->owner_worker();
     if (pw >= 0 && pw < static_cast<int>(workers_.size()) &&
         workers_[pw]->backlog_hint() <= kInvokeLocalitySlack) {
@@ -375,7 +373,7 @@ bool Runtime::invoke_child(Sandbox* parent, const std::string& name,
   std::unique_ptr<Sandbox> child = Sandbox::create(
       &mod->module,
       zerocopy ? std::vector<uint8_t>() : std::vector<uint8_t>(request), -1,
-      false, module_instantiation(mod));
+      false, config_.instantiation);
   if (!child) {
     note_shed(mod);
     *err = engine::kSbErrOverload;
@@ -404,7 +402,7 @@ bool Runtime::invoke_stream_child(Sandbox* parent, const std::string& name,
   std::unique_ptr<Sandbox> child = Sandbox::create(
       &mod->module,
       zerocopy ? std::vector<uint8_t>() : std::vector<uint8_t>(request), -1,
-      false, module_instantiation(mod));
+      false, config_.instantiation);
   if (!child) {
     note_shed(mod);
     *err = engine::kSbErrOverload;
@@ -595,7 +593,10 @@ std::string Runtime::stats_json() const {
   root["uptime_s"] = json::Value(static_cast<double>(s.uptime_ns) / 1e9);
   root["inflight"] = json::Value(static_cast<double>(s.inflight));
   root["dispatcher"] = json::Value(std::string(to_string(config_.dispatcher)));
+  root["sched"] = json::Value(std::string(to_string(config_.sched)));
   root["admission"] = json::Value(std::string(to_string(config_.admission)));
+  root["instantiation"] =
+      json::Value(std::string(to_string(config_.instantiation)));
 
   json::Object totals;
   totals["completed"] = json::Value(static_cast<double>(s.totals.completed));
@@ -850,7 +851,8 @@ std::string Runtime::stats_report() const {
                 "runtime: completed=%llu failed=%llu killed=%llu "
                 "drained=%llu shed=%llu shed_deadline=%llu preemptions=%llu "
                 "steals=%llu blocked=%llu woken=%llu invokes=%llu "
-                "(dispatcher=%s sched=%s admission=%s dataplane=%s)\n",
+                "(dispatcher=%s sched=%s admission=%s instantiation=%s "
+                "dataplane=%s)\n",
                 static_cast<unsigned long long>(t.completed),
                 static_cast<unsigned long long>(t.failed),
                 static_cast<unsigned long long>(t.killed),
@@ -864,6 +866,7 @@ std::string Runtime::stats_report() const {
                 static_cast<unsigned long long>(t.invokes),
                 to_string(config_.dispatcher), to_string(config_.sched),
                 to_string(config_.admission),
+                to_string(config_.instantiation),
                 to_string(config_.invoke_dataplane));
   out += buf;
 

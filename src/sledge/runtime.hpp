@@ -58,28 +58,26 @@ struct RuntimeConfig {
   // 0 = min(4, hardware cores).
   int num_listeners = 0;
   uint64_t quantum_us = 5000;  // paper's 5 ms time slice
-  bool preemption = true;      // false = cooperative-only (ablation)
   DistPolicy policy = DistPolicy::kWorkStealing;
   // Dispatcher layer above the Distributor: how admitted sandboxes are
   // handed out across workers (work_stealing keeps `policy`'s queue
   // ablation; global_edf and sharded_module replace it).
   DispatchPolicy dispatcher = DispatchPolicy::kWorkStealing;
   // Per-worker scheduling policy over the local runnable set (the
-  // cross-worker handoff above stays as configured by `policy`).
+  // cross-worker handoff above stays as configured by `policy`). The policy
+  // alone arms the quantum timer; kFifoRunToCompletion never preempts.
   SchedPolicy sched = SchedPolicy::kRoundRobin;
-  // Sandbox resource pool (warm startup path). Applied process-wide at
-  // Runtime construction; pool.enabled=false is the cold-start ablation.
-  SandboxResourcePool::Config pool;
   engine::WasmModule::Config engine;  // default tier/bounds for modules
-  // Startup tier for sandbox instantiation (per-module override in
-  // ModuleLimits): cold = fresh mapping per request (ablation), pooled =
-  // recycled zeroed memory (PR 2 warm path), snapshot = COW memfd template
-  // of the post-start image (falls back to pooled when no template builds).
+  // Startup tier for sandbox instantiation: cold = fresh memory and stack
+  // per request, returned to the OS at teardown (the cold-start ablation),
+  // pooled = recycled zeroed memory and stack off the SandboxResourcePool,
+  // snapshot = COW memfd template of the post-start image (falls back to
+  // pooled when no template builds).
   InstantiationMode instantiation = InstantiationMode::kPooled;
 
   // ---- Deadline enforcement & overload defaults (0 = unlimited) ----
   // Per-request CPU budget across preemptions; over-budget sandboxes are
-  // killed and answered with 504. Requires preemption to fire mid-run.
+  // killed and answered with 504. Needs a preemptive `sched` mid-run.
   uint64_t execution_budget_ns = 0;
   // Wall-clock deadline measured from admission (also covers time spent
   // queued or cooperatively blocked).
@@ -105,10 +103,6 @@ struct RuntimeConfig {
   // Inter-function payload path: zero-copy pooled transfer buffers (kShm,
   // default) or the per-request vector copies of the baseline (kCopy).
   InvokeDataplane invoke_dataplane = InvokeDataplane::kShm;
-  // Prefer placing sb_invoke children on the parent's worker when its
-  // runnable backlog has slack (warm caches, zero-hop join wake). Off =
-  // always use the configured dispatcher's normal placement.
-  bool invoke_locality = true;
 
   // ---- Observability plane ----
   // Serve GET /admin/stats (JSON) and GET /admin/metrics (Prometheus text)
@@ -121,16 +115,6 @@ struct RuntimeConfig {
   std::string access_log_path;
 };
 
-// Per-module startup-tier selection: kInherit follows the runtime-wide
-// RuntimeConfig::instantiation; the rest pin the tier for this module
-// (in-process A/B of cold vs pooled vs snapshot instantiation).
-enum class InstantiationOverride : uint8_t {
-  kInherit,
-  kCold,
-  kPooled,
-  kSnapshot,
-};
-
 // Per-module overrides for the RuntimeConfig-wide limits (0 = inherit).
 struct ModuleLimits {
   uint64_t execution_budget_ns = 0;
@@ -140,8 +124,6 @@ struct ModuleLimits {
   uint32_t tenant_weight = 0;
   // Inter-function dataplane for chains this module's sandboxes start.
   InvokeDataplaneOverride invoke_dataplane = InvokeDataplaneOverride::kInherit;
-  // Startup tier for this module's sandboxes.
-  InstantiationOverride instantiation = InstantiationOverride::kInherit;
 };
 
 struct ModuleStats {
@@ -234,22 +216,6 @@ class Runtime : public InvokeBroker {
   // of limits, then tighten the deadline).
   Status update_module_limits(const std::string& name,
                               const ModuleLimits& limits);
-
-  // Resolved startup tier for `mod`: the per-module override when set, the
-  // runtime-wide config otherwise.
-  InstantiationMode module_instantiation(const LoadedModule* mod) const {
-    switch (mod->limits.instantiation) {
-      case InstantiationOverride::kCold:
-        return InstantiationMode::kCold;
-      case InstantiationOverride::kPooled:
-        return InstantiationMode::kPooled;
-      case InstantiationOverride::kSnapshot:
-        return InstantiationMode::kSnapshot;
-      case InstantiationOverride::kInherit:
-        break;
-    }
-    return config_.instantiation;
-  }
 
   // Resolved dataplane for chains started by `mod`'s sandboxes: the
   // per-module override when set, the runtime-wide config otherwise.

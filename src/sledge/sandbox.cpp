@@ -158,9 +158,8 @@ std::unique_ptr<Sandbox> Sandbox::create(const engine::WasmModule* module,
     }
     // Linear memory from the pool (warm regions are pre-zeroed and keep
     // their reservation + guard registration), then the instance on top of
-    // it (cheap: the module is already linked/loaded). The cold tier
-    // bypasses the memory free list — a fresh reservation per request, the
-    // ablation baseline (stacks still recycle; memory dominates).
+    // it (cheap: the module is already linked/loaded). The cold tier maps
+    // a fresh reservation per request instead — the paper's cold start.
     if (spec.has_memory) {
       if (mode == InstantiationMode::kCold) {
         auto fresh = engine::LinearMemory::create(spec.strategy,
@@ -168,7 +167,6 @@ std::unique_ptr<Sandbox> Sandbox::create(const engine::WasmModule* module,
                                                   spec.max_pages);
         if (!fresh.ok()) return nullptr;
         memory = fresh.take();
-        memory_pooled = false;
       } else {
         memory = pool.acquire_memory(spec.strategy, spec.min_pages,
                                      spec.max_pages, &memory_pooled);
@@ -187,9 +185,13 @@ std::unique_ptr<Sandbox> Sandbox::create(const engine::WasmModule* module,
 
   // Guarded execution stack, outside linear memory (Wasm's split-stack
   // design: the C stack is unreachable from sandboxed loads/stores).
-  // Pooled stacks keep their mapping, guard page, and guard registration.
+  // Pooled stacks keep their mapping, guard page, and guard registration;
+  // a cold start maps and registers a fresh one.
   bool stack_pooled = false;
-  sb->stack_ = pool.acquire_stack(kStackSize, kGuardSize, &stack_pooled);
+  sb->cold_ = mode == InstantiationMode::kCold;
+  sb->stack_ = sb->cold_
+                   ? create_stack(kStackSize, kGuardSize)
+                   : pool.acquire_stack(kStackSize, kGuardSize, &stack_pooled);
   if (!sb->stack_) return nullptr;
   sb->pooled_ = memory_pooled && stack_pooled;
 
@@ -217,11 +219,17 @@ Sandbox::~Sandbox() {
   // Close any outbound sockets the function leaked (or was killed holding):
   // the fd table dies with the request, never with the connection pool.
   close_all_fds();
-  // Return resources to the pool instead of unmapping: the linear memory is
-  // zeroed + decommitted on the way in (cross-tenant isolation), the stack
+  // A cold start hands its fresh memory and stack straight back to the OS
+  // (the LinearMemory destructor unmaps it).
+  engine::LinearMemory memory = wasm_.reclaim_memory();
+  if (cold_) {
+    destroy_stack(stack_);
+    return;
+  }
+  // Otherwise return resources to the pool instead of unmapping: the linear
+  // memory is zeroed on the way in (cross-tenant isolation), the stack
   // keeps its mapping and guard registration.
   SandboxResourcePool& pool = SandboxResourcePool::instance();
-  engine::LinearMemory memory = wasm_.reclaim_memory();
   // Snapshot-backed regions go back to the template's spare list with the
   // pristine COW view pre-remapped, so the next snapshot create adopts
   // them syscall-free. Falls through to the pool when the template was

@@ -4,10 +4,11 @@
 // allocates linear memory (via the already-loaded module), a guarded
 // execution stack, and a user-level context (§4: "allocation of required
 // linear memory, a dedicated stack, and a user-level context"). The
-// expensive link/load happened once in WasmModule::load. All three
-// per-request resources are acquired from the SandboxResourcePool and
-// returned to it on destruction, so a warm start skips every mmap,
-// mprotect, and guard-registration syscall of the cold path.
+// expensive link/load happened once in WasmModule::load. Outside the cold
+// tier, all three per-request resources are acquired from the
+// SandboxResourcePool and returned to it on destruction, so a warm start
+// skips every mmap, mprotect, and guard-registration syscall of the cold
+// path.
 //
 // Sandboxes are green threads: the worker swapcontext()s into them, and
 // they come back by completing, blocking (cooperative I/O / sleep), or
@@ -49,10 +50,11 @@ enum class WakeKind : uint8_t { kNone, kTimer, kFdRead, kFdWrite, kChild };
 const char* to_string(WakeKind k);
 
 // How Sandbox::create obtains a sandbox's initial state (the startup-tier
-// A/B knob — RuntimeConfig::instantiation / per-module override):
-//   kCold     — fresh linear-memory mapping, full instantiation (mmap +
-//               globals + data segments + start function). The ablation
-//               baseline; bypasses the pooled memory free list.
+// A/B knob — RuntimeConfig::instantiation):
+//   kCold     — fresh linear-memory mapping and fresh guarded stack, full
+//               instantiation (mmap + globals + data segments + start
+//               function); both go back to the OS at teardown. The
+//               paper's cold start; never touches the resource pool.
 //   kPooled   — recycled zeroed memory off the SandboxResourcePool, full
 //               instantiation on top (the PR 2 warm path).
 //   kSnapshot — memfd template of the post-start image mapped MAP_PRIVATE
@@ -408,6 +410,7 @@ class Sandbox {
 
   ExecStack* stack_ = nullptr;  // pooled: guarded stack + ucontext storage
   bool pooled_ = false;
+  bool cold_ = false;  // kCold: memory and stack bypass the pool
   bool snapshot_backed_ = false;
   ucontext_t* scheduler_ctx_ = nullptr;  // valid while running
   uint64_t wake_at_ns_ = 0;

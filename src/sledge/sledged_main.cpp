@@ -8,15 +8,11 @@
 //   "workers": 3,
 //   "num_listeners": 0,      // SO_REUSEPORT accept shards; 0 = min(4, cores)
 //   "quantum_us": 5000,
-//   "preemption": true,
 //   "policy": "work_stealing",   // | "global_lock" | "per_worker"
 //   "dispatcher": "work_stealing",  // | "global_edf" | "sharded_module"
-//   "scheduler": "round_robin",  // | "fifo" (run-to-completion) | "edf"
+//   "scheduler": "round_robin",  // | "fifo" (cooperative) | "edf"
 //   "admission": "depth",        // | "slack" (expected-slack + fair shares)
-//   "pool": true,                // sandbox resource pool (warm startup)
-//   "pool_per_thread": 8,        // free-list entries kept per thread
-//   "pool_global": 64,           // global overflow cap / reclaim watermark
-//   "instantiation": "pooled",   // | "cold" | "snapshot" (COW templates)
+//   "instantiation": "pooled",   // | "cold" (no pool) | "snapshot" (COW)
 //   "tier": "aot",               // | "aot_o1" | "interp_fast" | "interp"
 //   "bounds": "vm_guard",        // | "software" | "mpx_sim" | "none"
 //   "budget_us": 0,          // per-request CPU budget; over-budget -> 504
@@ -26,7 +22,6 @@
 //   "max_sandbox_fds": 8,    // per-sandbox open outbound-socket cap
 //   "max_invoke_depth": 4,   // sb_invoke chain depth cap (top level = 0)
 //   "invoke_dataplane": "shm",  // | "copy" (per-request vector copies)
-//   "invoke_locality": true,    // place invoke children on parent's worker
 //   "admin_endpoint": true,  // GET /admin/stats (JSON) + /admin/metrics
 //   "access_log": "",        // per-request JSON lines file ("" = off)
 //   "modules": [
@@ -34,18 +29,21 @@
 //     {"name": "ekf", "minicc": "src/apps/wasm_src/ekf.mc",
 //      "budget_us": 50000, "deadline_us": 200000,   // per-module overrides
 //      "tenant_weight": 2,   // fair-share weight (admission = "slack")
-//      "instantiation": "snapshot",  // per-module tier (unset = inherit)
 //      "invoke_dataplane": "copy"}  // | "shm" (unset = inherit global)
 //   ]
 // }
 //
+// Any other key, top level or per module, is an error naming the key.
 // Functions are served at POST /<name>. SIGINT/SIGTERM shut down cleanly.
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "common/file_util.hpp"
 #include "common/json.hpp"
@@ -59,13 +57,35 @@ namespace {
 std::atomic<bool> g_shutdown{false};
 void on_signal(int) { g_shutdown.store(true); }
 
+// A typo or a retired key must fail loudly, not run silently on defaults.
+Status check_keys(const json::Value& obj,
+                  std::initializer_list<std::string_view> known,
+                  const std::string& where) {
+  for (const auto& [key, value] : obj.as_object()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return Status::error(where + "unknown config key: " + key);
+    }
+  }
+  return Status::ok();
+}
+
 Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
+  Status keys = check_keys(
+      doc,
+      {"port", "workers", "num_listeners", "quantum_us", "policy",
+       "dispatcher", "scheduler", "admission", "instantiation", "tier",
+       "bounds", "budget_us", "deadline_us", "max_pending", "drain_grace_ms",
+       "max_sandbox_fds", "max_invoke_depth", "invoke_dataplane",
+       "admin_endpoint", "access_log", "modules"},
+      "");
+  if (!keys.is_ok()) {
+    return Result<runtime::RuntimeConfig>::error(keys.message());
+  }
   runtime::RuntimeConfig cfg;
   cfg.port = static_cast<uint16_t>(doc["port"].as_int(0));
   cfg.workers = static_cast<int>(doc["workers"].as_int(3));
   cfg.num_listeners = static_cast<int>(doc["num_listeners"].as_int(0));
   cfg.quantum_us = static_cast<uint64_t>(doc["quantum_us"].as_int(5000));
-  if (doc["preemption"].is_bool()) cfg.preemption = doc["preemption"].as_bool();
   cfg.execution_budget_ns =
       static_cast<uint64_t>(doc["budget_us"].as_int(0)) * 1000;
   cfg.deadline_ns = static_cast<uint64_t>(doc["deadline_us"].as_int(0)) * 1000;
@@ -82,9 +102,6 @@ Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
   } else {
     return Result<runtime::RuntimeConfig>::error("unknown invoke_dataplane: " +
                                                  dataplane);
-  }
-  if (doc["invoke_locality"].is_bool()) {
-    cfg.invoke_locality = doc["invoke_locality"].as_bool();
   }
   if (doc["admin_endpoint"].is_bool()) {
     cfg.admin_endpoint = doc["admin_endpoint"].as_bool();
@@ -135,12 +152,6 @@ Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
     return Result<runtime::RuntimeConfig>::error("unknown scheduler: " +
                                                  sched);
   }
-
-  if (doc["pool"].is_bool()) cfg.pool.enabled = doc["pool"].as_bool();
-  cfg.pool.per_thread_cap = static_cast<int>(
-      doc["pool_per_thread"].as_int(cfg.pool.per_thread_cap));
-  cfg.pool.global_cap =
-      static_cast<int>(doc["pool_global"].as_int(cfg.pool.global_cap));
 
   const std::string& inst = doc["instantiation"].as_string();
   if (inst == "cold") {
@@ -213,6 +224,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "module without a name\n");
       return 1;
     }
+    Status keys = check_keys(module,
+                             {"name", "wasm", "minicc", "budget_us",
+                              "deadline_us", "tenant_weight",
+                              "invoke_dataplane"},
+                             "module " + name + ": ");
+    if (!keys.is_ok()) {
+      std::fprintf(stderr, "%s\n", keys.message().c_str());
+      return 1;
+    }
     std::vector<uint8_t> wasm_bytes;
     if (module["wasm"].is_string()) {
       auto bytes = read_file(module["wasm"].as_string());
@@ -248,18 +268,6 @@ int main(int argc, char** argv) {
         static_cast<uint64_t>(module["deadline_us"].as_int(0)) * 1000;
     limits.tenant_weight =
         static_cast<uint32_t>(module["tenant_weight"].as_int(0));
-    const std::string& mod_inst = module["instantiation"].as_string();
-    if (mod_inst == "cold") {
-      limits.instantiation = runtime::InstantiationOverride::kCold;
-    } else if (mod_inst == "pooled") {
-      limits.instantiation = runtime::InstantiationOverride::kPooled;
-    } else if (mod_inst == "snapshot") {
-      limits.instantiation = runtime::InstantiationOverride::kSnapshot;
-    } else if (!mod_inst.empty()) {
-      std::fprintf(stderr, "module %s: unknown instantiation: %s\n",
-                   name.c_str(), mod_inst.c_str());
-      return 1;
-    }
     const std::string& mod_dataplane = module["invoke_dataplane"].as_string();
     if (mod_dataplane == "copy") {
       limits.invoke_dataplane = runtime::InvokeDataplaneOverride::kCopy;

@@ -193,9 +193,7 @@ void Worker::thread_main() {
 
   // FIFO run-to-completion never arms the quantum timer: a dispatched
   // sandbox keeps the core until it completes, blocks, or traps.
-  const bool preempt =
-      rt_->config().preemption && policy_->allows_preemption();
-  if (preempt) {
+  if (policy_->allows_preemption()) {
     install_quantum_handler_once();
     setup_timer();
   }
@@ -300,8 +298,7 @@ void Worker::dispatch(Sandbox* sb) {
 
   stats_.dispatches.fetch_add(1, std::memory_order_relaxed);
   sb->set_owner_worker(index_);  // children spawned via sb_invoke ping us
-  const bool preempt =
-      rt_->config().preemption && policy_->allows_preemption();
+  const bool preempt = policy_->allows_preemption();
   current_ = sb;
   if (preempt) arm_timer(sb);
   // Gate the quantum handler across the non-atomic swapcontext below; the

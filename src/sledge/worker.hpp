@@ -3,8 +3,8 @@
 // per-worker epoll event loop (IoLoop — the libuv-style loop of paper §4)
 // that parks blocked sandboxes on wake conditions (timers, outbound-socket
 // readiness, child-sandbox completion) and sleeps the core when nothing is
-// runnable. The quantum timer is only armed when both the runtime config
-// and the policy allow preemption.
+// runnable. The quantum timer is only armed when the policy allows
+// preemption.
 #pragma once
 
 #include <ucontext.h>

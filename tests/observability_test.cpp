@@ -183,6 +183,9 @@ TEST(ObservabilityTest, AdminStatsLivePollDuringBurst) {
     }
     ::usleep(10000);
   }
+  // The root names the switches that selected this run's code paths.
+  EXPECT_EQ(doc["sched"].as_string(), "round_robin");
+  EXPECT_EQ(doc["instantiation"].as_string(), "pooled");
   const json::Value& mod = doc["modules"]["sleep"];
   EXPECT_EQ(mod["requests"].as_int(), 120);
   for (const char* phase :

@@ -1,6 +1,6 @@
 // Pool + scheduling policy through the full runtime: cross-request
-// isolation under warm reuse (every bounds strategy), EDF ordering under
-// contention with preemption both on and off, FIFO's no-preemption
+// isolation under warm reuse (every bounds strategy), cold starts that
+// bypass the pool, EDF ordering under contention, FIFO's no-preemption
 // guarantee, round-robin parity with the seed, and the stats surface.
 // Uses ucontext dispatch, so not sanitizer-labeled.
 #include <gtest/gtest.h>
@@ -85,88 +85,113 @@ TEST_F(PoolSchedTest, PooledRequestsStayIsolatedAllStrategies) {
   }
 }
 
-// EDF must run the tighter-deadline request first even when it arrives
-// last, with preemption on (blocker is descheduled at quantum expiry) and
-// off (ordering applies between run-to-completion slots).
-TEST_F(PoolSchedTest, EdfRunsTighterDeadlineFirstUnderContention) {
-  for (bool preempt : {true, false}) {
-    SCOPED_TRACE(preempt ? "preemption" : "cooperative");
-    RuntimeConfig cfg;
-    cfg.workers = 1;
-    cfg.sched = SchedPolicy::kEdf;
-    cfg.preemption = preempt;
-    cfg.quantum_us = 2000;
-    Runtime rt(cfg);
-    // The blocker must keep the worker busy for the whole submission window
-    // (its only job is to let loose and tight queue up behind it), so it
-    // spins well past the setup sleeps. Deadlines are far above actual
-    // runtime so nothing is killed, but tight (3 s) must be ordered before
-    // loose (10 s).
-    ASSERT_TRUE(rt.register_module("blocker",
-                                   compile(testutil::spin_src(80000000)))
-                    .is_ok());
-    ModuleLimits tight_limits;
-    tight_limits.deadline_ns = 3'000'000'000;
-    ASSERT_TRUE(rt.register_module("tight",
-                                   compile(testutil::spin_src(20000000)),
-                                   tight_limits)
-                    .is_ok());
-    ModuleLimits loose_limits;
-    loose_limits.deadline_ns = 10'000'000'000;
-    ASSERT_TRUE(rt.register_module("loose",
-                                   compile(testutil::spin_src(20000000)),
-                                   loose_limits)
-                    .is_ok());
-    ASSERT_TRUE(rt.start().is_ok());
-
-    uint64_t tight_end = 0, loose_end = 0;
-    std::thread blocker([&] {
-      int status = 0;
-      auto r = loadgen::single_request("127.0.0.1", rt.bound_port(),
-                                       "/blocker", {}, &status);
-      EXPECT_TRUE(r.ok()) << r.error_message();
-      EXPECT_EQ(status, 200);
-    });
-    // Let the blocker occupy the single worker (admission is counted before
-    // dispatch, so give the worker a moment to actually pick it up), then
-    // queue loose BEFORE tight: completion order must still be tight first.
-    while (rt.inflight() == 0) ::usleep(200);
-    ::usleep(5000);
-    std::thread loose([&] {
-      int status = 0;
-      auto r = loadgen::single_request("127.0.0.1", rt.bound_port(), "/loose",
-                                       {}, &status);
-      loose_end = now_ns();
-      EXPECT_TRUE(r.ok()) << r.error_message();
-      EXPECT_EQ(status, 200);
-    });
-    ::usleep(5000);
-    std::thread tight([&] {
-      int status = 0;
-      auto r = loadgen::single_request("127.0.0.1", rt.bound_port(), "/tight",
-                                       {}, &status);
-      tight_end = now_ns();
-      EXPECT_TRUE(r.ok()) << r.error_message();
-      EXPECT_EQ(status, 200);
-    });
-    blocker.join();
-    loose.join();
-    tight.join();
-    EXPECT_LT(tight_end, loose_end)
-        << "EDF served the looser deadline first";
-    rt.stop();
-    EXPECT_EQ(rt.totals().killed, 0u);
+// The cold tier is the paper's cold start: every request maps a fresh
+// memory and stack and hands both back to the OS, so it neither draws from
+// the pool nor leaves anything in it for the next pooled create.
+TEST_F(PoolSchedTest, ColdStartsBypassPool) {
+  auto wasm = compile(kCanarySrc);
+  ASSERT_FALSE(wasm.empty());
+  auto mod = engine::WasmModule::load(wasm, engine::WasmModule::Config{});
+  ASSERT_TRUE(mod.ok()) << mod.error_message();
+  SandboxResourcePool& pool = SandboxResourcePool::instance();
+  for (int i = 0; i < 4; ++i) {
+    auto sb = Sandbox::create(&mod.value(), {}, -1, false,
+                              InstantiationMode::kCold);
+    ASSERT_NE(sb, nullptr);
+    EXPECT_FALSE(sb->pooled());
+    ASSERT_TRUE(run_sandbox_inline(sb.get()).is_ok());
+    EXPECT_EQ(sb->state(), SandboxState::kComplete);
   }
+  SandboxResourcePool::Counters c = pool.counters();
+  EXPECT_EQ(c.memory_hits, 0u);
+  EXPECT_EQ(c.stack_hits, 0u);
+
+  auto warm = Sandbox::create(&mod.value(), {});
+  ASSERT_NE(warm, nullptr);
+  EXPECT_FALSE(warm->pooled());
+  c = pool.counters();
+  EXPECT_EQ(c.memory_hits, 0u);
+  EXPECT_EQ(c.memory_misses, 1u);
+  EXPECT_EQ(c.stack_hits, 0u);
+  EXPECT_EQ(c.stack_misses, 1u);
+}
+
+// EDF must run the tighter-deadline request first even when it arrives
+// last (the blocker is descheduled at quantum expiry).
+TEST_F(PoolSchedTest, EdfRunsTighterDeadlineFirstUnderContention) {
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  cfg.sched = SchedPolicy::kEdf;
+  cfg.quantum_us = 2000;
+  Runtime rt(cfg);
+  // The blocker must keep the worker busy for the whole submission window
+  // (its only job is to let loose and tight queue up behind it), so it
+  // spins well past the setup sleeps. Deadlines are far above actual
+  // runtime so nothing is killed, but tight (3 s) must be ordered before
+  // loose (10 s).
+  ASSERT_TRUE(rt.register_module("blocker",
+                                 compile(testutil::spin_src(80000000)))
+                  .is_ok());
+  ModuleLimits tight_limits;
+  tight_limits.deadline_ns = 3'000'000'000;
+  ASSERT_TRUE(rt.register_module("tight",
+                                 compile(testutil::spin_src(20000000)),
+                                 tight_limits)
+                  .is_ok());
+  ModuleLimits loose_limits;
+  loose_limits.deadline_ns = 10'000'000'000;
+  ASSERT_TRUE(rt.register_module("loose",
+                                 compile(testutil::spin_src(20000000)),
+                                 loose_limits)
+                  .is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+
+  uint64_t tight_end = 0, loose_end = 0;
+  std::thread blocker([&] {
+    int status = 0;
+    auto r = loadgen::single_request("127.0.0.1", rt.bound_port(),
+                                     "/blocker", {}, &status);
+    EXPECT_TRUE(r.ok()) << r.error_message();
+    EXPECT_EQ(status, 200);
+  });
+  // Let the blocker occupy the single worker (admission is counted before
+  // dispatch, so give the worker a moment to actually pick it up), then
+  // queue loose BEFORE tight: completion order must still be tight first.
+  while (rt.inflight() == 0) ::usleep(200);
+  ::usleep(5000);
+  std::thread loose([&] {
+    int status = 0;
+    auto r = loadgen::single_request("127.0.0.1", rt.bound_port(), "/loose",
+                                     {}, &status);
+    loose_end = now_ns();
+    EXPECT_TRUE(r.ok()) << r.error_message();
+    EXPECT_EQ(status, 200);
+  });
+  ::usleep(5000);
+  std::thread tight([&] {
+    int status = 0;
+    auto r = loadgen::single_request("127.0.0.1", rt.bound_port(), "/tight",
+                                     {}, &status);
+    tight_end = now_ns();
+    EXPECT_TRUE(r.ok()) << r.error_message();
+    EXPECT_EQ(status, 200);
+  });
+  blocker.join();
+  loose.join();
+  tight.join();
+  EXPECT_LT(tight_end, loose_end)
+      << "EDF served the looser deadline first";
+  rt.stop();
+  EXPECT_EQ(rt.totals().killed, 0u);
 }
 
 // FIFO run-to-completion: the quantum timer is never armed, so even a long
-// request with preemption enabled in the config finishes with zero
-// preemptions and everything still completes.
+// request under a short quantum finishes with zero preemptions and
+// everything still completes.
 TEST_F(PoolSchedTest, FifoNeverPreempts) {
   RuntimeConfig cfg;
   cfg.workers = 1;
   cfg.sched = SchedPolicy::kFifoRunToCompletion;
-  cfg.preemption = true;  // config allows it; the policy must refuse
   cfg.quantum_us = 1000;
   Runtime rt(cfg);
   ASSERT_TRUE(
@@ -227,14 +252,14 @@ TEST_F(PoolSchedTest, RoundRobinStillPreempts) {
   EXPECT_GT(rt.totals().preemptions, 0u);
 }
 
-// The pool ablation knob: pool.enabled=false in the runtime config makes
-// every request a cold start; enabled (default) warms up after the first.
+// The cold-start ablation: instantiation=cold in the runtime config makes
+// every request a cold start; pooled (default) warms up after the first.
 TEST_F(PoolSchedTest, PoolKnobControlsWarmStarts) {
   for (bool enabled : {false, true}) {
     SCOPED_TRACE(enabled ? "pool on" : "pool off");
     RuntimeConfig cfg;
     cfg.workers = 1;
-    cfg.pool.enabled = enabled;
+    if (!enabled) cfg.instantiation = InstantiationMode::kCold;
     Runtime rt(cfg);
     ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
     ASSERT_TRUE(rt.start().is_ok());

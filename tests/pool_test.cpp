@@ -323,29 +323,6 @@ TEST_F(PoolTest, StacksAreReusedWithGuardIntact) {
   EXPECT_EQ(c.stack_misses, 2u);
 }
 
-TEST_F(PoolTest, DisabledPoolAlwaysRunsCold) {
-  SandboxResourcePool& pool = SandboxResourcePool::instance();
-  SandboxResourcePool::Config cfg;
-  cfg.enabled = false;
-  pool.configure(cfg);
-
-  pool.release_memory(
-      pool.acquire_memory(BoundsStrategy::kSoftware, 1, 4, nullptr));
-  bool from_pool = true;
-  LinearMemory mem =
-      pool.acquire_memory(BoundsStrategy::kSoftware, 1, 4, &from_pool);
-  EXPECT_TRUE(mem.valid());
-  EXPECT_FALSE(from_pool);
-
-  ExecStack* stack = pool.acquire_stack(64 * 1024, 4096, nullptr);
-  ASSERT_NE(stack, nullptr);
-  pool.release_stack(stack);
-  stack = pool.acquire_stack(64 * 1024, 4096, &from_pool);
-  ASSERT_NE(stack, nullptr);
-  EXPECT_FALSE(from_pool);
-  pool.release_stack(stack);
-}
-
 // End-to-end isolation through the engine: a module that reads its own
 // state must see zeros when instantiated over a recycled memory that a
 // previous "tenant" dirtied. Interpreter tiers (no cc, sanitizer-safe).
