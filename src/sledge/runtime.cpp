@@ -5,13 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <thread>
 
-#include "common/json.hpp"
 #include "common/log.hpp"
 #include "engine/host.hpp"
 #include "sledge/listener.hpp"
+#include "sledge/metrics.hpp"
 #include "sledge/worker.hpp"
 
 namespace sledge::runtime {
@@ -566,378 +565,14 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
   return s;
 }
 
-namespace {
-
-double mean_ns(const LatencyHistogram::Summary& h) {
-  return h.count != 0 ? h.sum_ns / static_cast<double>(h.count) : 0.0;
-}
-
-json::Value hist_to_json(const LatencyHistogram::Summary& h) {
-  json::Object o;
-  o["count"] = json::Value(static_cast<double>(h.count));
-  o["sum_ns"] = json::Value(h.sum_ns);
-  o["mean_ns"] = json::Value(mean_ns(h));
-  o["min_ns"] = json::Value(static_cast<double>(h.min_ns));
-  o["p50_ns"] = json::Value(static_cast<double>(h.p50_ns));
-  o["p90_ns"] = json::Value(static_cast<double>(h.p90_ns));
-  o["p99_ns"] = json::Value(static_cast<double>(h.p99_ns));
-  o["max_ns"] = json::Value(static_cast<double>(h.max_ns));
-  return json::Value(std::move(o));
-}
-
-}  // namespace
-
 std::string Runtime::stats_json() const {
-  StatsSnapshot s = snapshot();
-  json::Object root;
-  root["uptime_s"] = json::Value(static_cast<double>(s.uptime_ns) / 1e9);
-  root["inflight"] = json::Value(static_cast<double>(s.inflight));
-  root["dispatcher"] = json::Value(std::string(to_string(config_.dispatcher)));
-  root["sched"] = json::Value(std::string(to_string(config_.sched)));
-  root["admission"] = json::Value(std::string(to_string(config_.admission)));
-  root["instantiation"] =
-      json::Value(std::string(to_string(config_.instantiation)));
-
-  json::Object totals;
-  totals["completed"] = json::Value(static_cast<double>(s.totals.completed));
-  totals["failed"] = json::Value(static_cast<double>(s.totals.failed));
-  totals["killed"] = json::Value(static_cast<double>(s.totals.killed));
-  totals["drained"] = json::Value(static_cast<double>(s.totals.drained));
-  totals["shed"] = json::Value(static_cast<double>(s.totals.shed));
-  totals["shed_deadline"] =
-      json::Value(static_cast<double>(s.totals.shed_deadline));
-  totals["preemptions"] =
-      json::Value(static_cast<double>(s.totals.preemptions));
-  totals["steals"] = json::Value(static_cast<double>(s.totals.steals));
-  totals["pool_hits"] = json::Value(static_cast<double>(s.totals.pool_hits));
-  totals["pool_misses"] =
-      json::Value(static_cast<double>(s.totals.pool_misses));
-  totals["blocked"] = json::Value(static_cast<double>(s.totals.blocked));
-  totals["woken"] = json::Value(static_cast<double>(s.totals.woken));
-  totals["invokes"] = json::Value(static_cast<double>(s.totals.invokes));
-  totals["accepted"] = json::Value(static_cast<double>(s.totals.accepted));
-  totals["accept_errors"] =
-      json::Value(static_cast<double>(s.totals.accept_errors));
-  root["totals"] = json::Value(std::move(totals));
-
-  json::Object pool;
-  pool["memory_hits"] = json::Value(static_cast<double>(s.pool.memory_hits));
-  pool["memory_misses"] =
-      json::Value(static_cast<double>(s.pool.memory_misses));
-  pool["stack_hits"] = json::Value(static_cast<double>(s.pool.stack_hits));
-  pool["stack_misses"] = json::Value(static_cast<double>(s.pool.stack_misses));
-  pool["released"] = json::Value(static_cast<double>(s.pool.released));
-  pool["transfer_hits"] =
-      json::Value(static_cast<double>(s.pool.transfer_hits));
-  pool["transfer_misses"] =
-      json::Value(static_cast<double>(s.pool.transfer_misses));
-  pool["transfer_outstanding"] =
-      json::Value(static_cast<double>(s.pool.transfer_outstanding));
-  root["pool"] = json::Value(std::move(pool));
-
-  json::Object snap;
-  snap["hits"] = json::Value(static_cast<double>(s.snapshot_tier.hits));
-  snap["misses"] = json::Value(static_cast<double>(s.snapshot_tier.misses));
-  snap["builds"] = json::Value(static_cast<double>(s.snapshot_tier.builds));
-  snap["build_failures"] =
-      json::Value(static_cast<double>(s.snapshot_tier.build_failures));
-  root["snapshot"] = json::Value(std::move(snap));
-
-  json::Array listeners;
-  for (const ListenerSnapshot& l : s.listeners) {
-    json::Object o;
-    o["id"] = json::Value(l.id);
-    o["accepted"] = json::Value(static_cast<double>(l.accepted));
-    o["accept_errors"] = json::Value(static_cast<double>(l.accept_errors));
-    o["open_conns"] = json::Value(static_cast<double>(l.open_conns));
-    o["loaned_conns"] = json::Value(static_cast<double>(l.loaned_conns));
-    listeners.push_back(json::Value(std::move(o)));
-  }
-  root["listeners"] = json::Value(std::move(listeners));
-
-  json::Array workers;
-  for (const WorkerSnapshot& w : s.workers) {
-    json::Object o;
-    o["id"] = json::Value(w.id);
-    o["dispatches"] = json::Value(static_cast<double>(w.dispatches));
-    o["preemptions"] = json::Value(static_cast<double>(w.preemptions));
-    o["steals"] = json::Value(static_cast<double>(w.steals));
-    o["completed"] = json::Value(static_cast<double>(w.completed));
-    o["failed"] = json::Value(static_cast<double>(w.failed));
-    o["killed"] = json::Value(static_cast<double>(w.killed));
-    o["blocked"] = json::Value(static_cast<double>(w.blocked));
-    o["woken"] = json::Value(static_cast<double>(w.woken));
-    workers.push_back(json::Value(std::move(o)));
-  }
-  root["workers"] = json::Value(std::move(workers));
-
-  json::Object modules;
-  for (const ModuleSnapshot& m : s.modules) {
-    json::Object o;
-    o["requests"] = json::Value(static_cast<double>(m.requests));
-    o["failures"] = json::Value(static_cast<double>(m.failures));
-    o["kills"] = json::Value(static_cast<double>(m.kills));
-    o["shed"] = json::Value(static_cast<double>(m.shed));
-    o["shed_deadline"] = json::Value(static_cast<double>(m.shed_deadline));
-    o["inflight"] = json::Value(static_cast<double>(m.inflight));
-    o["tenant_weight"] = json::Value(static_cast<double>(m.tenant_weight));
-    o["predicted_queue_p99_ns"] =
-        json::Value(static_cast<double>(m.predicted_queue_p99_ns));
-    o["predicted_exec_p99_ns"] =
-        json::Value(static_cast<double>(m.predicted_exec_p99_ns));
-    o["preemptions"] = json::Value(static_cast<double>(m.preemptions));
-    o["response_bytes"] =
-        json::Value(static_cast<double>(m.response_bytes));
-    o["invoke_local"] = json::Value(static_cast<double>(m.invoke_local));
-    o["invoke_zerocopy"] =
-        json::Value(static_cast<double>(m.invoke_zerocopy));
-    o["end_to_end"] = hist_to_json(m.end_to_end);
-    o["startup"] = hist_to_json(m.startup);
-    o["startup_pooled"] = hist_to_json(m.startup_pooled);
-    o["startup_cold"] = hist_to_json(m.startup_cold);
-    o["startup_snapshot"] = hist_to_json(m.startup_snapshot);
-    o["queue_wait"] = hist_to_json(m.queue_wait);
-    o["exec_cpu"] = hist_to_json(m.exec_cpu);
-    o["response_write"] = hist_to_json(m.response_write);
-    o["io_wait"] = hist_to_json(m.io_wait);
-    o["invoke_handoff"] = hist_to_json(m.invoke_handoff);
-    modules[m.name] = json::Value(std::move(o));
-  }
-  root["modules"] = json::Value(std::move(modules));
-  return json::Value(std::move(root)).dump();
+  return metrics::render_json(snapshot(), config_);
 }
-
 std::string Runtime::stats_prometheus() const {
-  StatsSnapshot s = snapshot();
-  std::string out;
-  out.reserve(4096);
-  char buf[256];
-  auto emit = [&](const char* fmt, auto... args) {
-    std::snprintf(buf, sizeof(buf), fmt, args...);
-    out += buf;
-  };
-
-  emit("# TYPE sledge_uptime_seconds gauge\nsledge_uptime_seconds %.3f\n",
-       static_cast<double>(s.uptime_ns) / 1e9);
-  emit("# TYPE sledge_inflight gauge\nsledge_inflight %lld\n",
-       static_cast<long long>(s.inflight));
-  struct Counter {
-    const char* name;
-    uint64_t value;
-  };
-  const Counter counters[] = {
-      {"sledge_completed_total", s.totals.completed},
-      {"sledge_failed_total", s.totals.failed},
-      {"sledge_killed_total", s.totals.killed},
-      {"sledge_drained_total", s.totals.drained},
-      {"sledge_shed_total", s.totals.shed},
-      {"sledge_shed_deadline_total", s.totals.shed_deadline},
-      {"sledge_preemptions_total", s.totals.preemptions},
-      {"sledge_steals_total", s.totals.steals},
-      {"sledge_pool_hits_total", s.totals.pool_hits},
-      {"sledge_pool_misses_total", s.totals.pool_misses},
-      {"sledge_blocked_total", s.totals.blocked},
-      {"sledge_woken_total", s.totals.woken},
-      {"sledge_invokes_total", s.totals.invokes},
-      {"sledge_accepted_total", s.totals.accepted},
-      {"sledge_accept_errors_total", s.totals.accept_errors},
-      {"sledge_pool_memory_hits_total", s.pool.memory_hits},
-      {"sledge_pool_memory_misses_total", s.pool.memory_misses},
-      {"sledge_pool_stack_hits_total", s.pool.stack_hits},
-      {"sledge_pool_stack_misses_total", s.pool.stack_misses},
-      {"sledge_pool_released_total", s.pool.released},
-      {"sledge_pool_transfer_hits_total", s.pool.transfer_hits},
-      {"sledge_pool_transfer_misses_total", s.pool.transfer_misses},
-      {"sledge_snapshot_hits_total", s.snapshot_tier.hits},
-      {"sledge_snapshot_misses_total", s.snapshot_tier.misses},
-      {"sledge_snapshot_builds_total", s.snapshot_tier.builds},
-      {"sledge_snapshot_build_failures_total", s.snapshot_tier.build_failures},
-  };
-  for (const Counter& c : counters) {
-    emit("# TYPE %s counter\n%s %llu\n", c.name, c.name,
-         static_cast<unsigned long long>(c.value));
-  }
-  emit("# TYPE sledge_transfer_outstanding gauge\n"
-       "sledge_transfer_outstanding %llu\n",
-       static_cast<unsigned long long>(s.pool.transfer_outstanding));
-
-  emit("# TYPE sledge_listener_accepted_total counter\n");
-  for (const ListenerSnapshot& l : s.listeners) {
-    emit("sledge_listener_accepted_total{shard=\"%d\"} %llu\n", l.id,
-         static_cast<unsigned long long>(l.accepted));
-  }
-  emit("# TYPE sledge_listener_accept_errors_total counter\n");
-  for (const ListenerSnapshot& l : s.listeners) {
-    emit("sledge_listener_accept_errors_total{shard=\"%d\"} %llu\n", l.id,
-         static_cast<unsigned long long>(l.accept_errors));
-  }
-  emit("# TYPE sledge_listener_open_conns gauge\n");
-  for (const ListenerSnapshot& l : s.listeners) {
-    emit("sledge_listener_open_conns{shard=\"%d\"} %lld\n", l.id,
-         static_cast<long long>(l.open_conns));
-  }
-  emit("# TYPE sledge_listener_loaned_conns gauge\n");
-  for (const ListenerSnapshot& l : s.listeners) {
-    emit("sledge_listener_loaned_conns{shard=\"%d\"} %lld\n", l.id,
-         static_cast<long long>(l.loaned_conns));
-  }
-
-  struct ModCounter {
-    const char* name;
-    uint64_t ModuleSnapshot::* field;
-  };
-  const ModCounter mod_counters[] = {
-      {"sledge_requests_total", &ModuleSnapshot::requests},
-      {"sledge_failures_total", &ModuleSnapshot::failures},
-      {"sledge_kills_total", &ModuleSnapshot::kills},
-      {"sledge_module_shed_total", &ModuleSnapshot::shed},
-      {"sledge_module_shed_deadline_total", &ModuleSnapshot::shed_deadline},
-      {"sledge_module_preemptions_total", &ModuleSnapshot::preemptions},
-      {"sledge_response_bytes_total", &ModuleSnapshot::response_bytes},
-      {"sledge_invoke_local_total", &ModuleSnapshot::invoke_local},
-      {"sledge_invoke_zerocopy_total", &ModuleSnapshot::invoke_zerocopy},
-  };
-  for (const ModCounter& c : mod_counters) {
-    emit("# TYPE %s counter\n", c.name);
-    for (const ModuleSnapshot& m : s.modules) {
-      emit("%s{module=\"%s\"} %llu\n", c.name, m.name.c_str(),
-           static_cast<unsigned long long>(m.*(c.field)));
-    }
-  }
-
-  struct Phase {
-    const char* name;
-    LatencyHistogram::Summary ModuleSnapshot::* field;
-  };
-  const Phase phases[] = {
-      {"sledge_queue_wait_seconds", &ModuleSnapshot::queue_wait},
-      {"sledge_startup_seconds", &ModuleSnapshot::startup},
-      {"sledge_startup_pooled_seconds", &ModuleSnapshot::startup_pooled},
-      {"sledge_startup_cold_seconds", &ModuleSnapshot::startup_cold},
-      {"sledge_startup_snapshot_seconds", &ModuleSnapshot::startup_snapshot},
-      {"sledge_exec_cpu_seconds", &ModuleSnapshot::exec_cpu},
-      {"sledge_io_wait_seconds", &ModuleSnapshot::io_wait},
-      {"sledge_response_write_seconds", &ModuleSnapshot::response_write},
-      {"sledge_end_to_end_seconds", &ModuleSnapshot::end_to_end},
-      {"sledge_invoke_handoff_seconds", &ModuleSnapshot::invoke_handoff},
-  };
-  for (const Phase& p : phases) {
-    emit("# TYPE %s summary\n", p.name);
-    for (const ModuleSnapshot& m : s.modules) {
-      const LatencyHistogram::Summary& h = m.*(p.field);
-      const struct {
-        const char* q;
-        uint64_t ns;
-      } qs[] = {{"0.5", h.p50_ns}, {"0.9", h.p90_ns}, {"0.99", h.p99_ns}};
-      for (const auto& q : qs) {
-        emit("%s{module=\"%s\",quantile=\"%s\"} %.9f\n", p.name,
-             m.name.c_str(), q.q, static_cast<double>(q.ns) / 1e9);
-      }
-      emit("%s_sum{module=\"%s\"} %.9f\n", p.name, m.name.c_str(),
-           h.sum_ns / 1e9);
-      emit("%s_count{module=\"%s\"} %llu\n", p.name, m.name.c_str(),
-           static_cast<unsigned long long>(h.count));
-    }
-  }
-  return out;
+  return metrics::render_prometheus(snapshot(), config_);
 }
-
 std::string Runtime::stats_report() const {
-  StatsSnapshot s = snapshot();
-  const Totals& t = s.totals;
-  std::string out;
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "runtime: completed=%llu failed=%llu killed=%llu "
-                "drained=%llu shed=%llu shed_deadline=%llu preemptions=%llu "
-                "steals=%llu blocked=%llu woken=%llu invokes=%llu "
-                "(dispatcher=%s sched=%s admission=%s instantiation=%s "
-                "dataplane=%s)\n",
-                static_cast<unsigned long long>(t.completed),
-                static_cast<unsigned long long>(t.failed),
-                static_cast<unsigned long long>(t.killed),
-                static_cast<unsigned long long>(t.drained),
-                static_cast<unsigned long long>(t.shed),
-                static_cast<unsigned long long>(t.shed_deadline),
-                static_cast<unsigned long long>(t.preemptions),
-                static_cast<unsigned long long>(t.steals),
-                static_cast<unsigned long long>(t.blocked),
-                static_cast<unsigned long long>(t.woken),
-                static_cast<unsigned long long>(t.invokes),
-                to_string(config_.dispatcher), to_string(config_.sched),
-                to_string(config_.admission),
-                to_string(config_.instantiation),
-                to_string(config_.invoke_dataplane));
-  out += buf;
-
-  const SandboxResourcePool::Counters& pc = s.pool;
-  const uint64_t warm_total = t.pool_hits + t.pool_misses;
-  std::snprintf(buf, sizeof(buf),
-                "pool: warm=%llu cold=%llu (%.1f%% warm) "
-                "mem hit/miss=%llu/%llu stack hit/miss=%llu/%llu "
-                "reclaimed=%llu\n",
-                static_cast<unsigned long long>(t.pool_hits),
-                static_cast<unsigned long long>(t.pool_misses),
-                warm_total ? 100.0 * static_cast<double>(t.pool_hits) /
-                                 static_cast<double>(warm_total)
-                           : 0.0,
-                static_cast<unsigned long long>(pc.memory_hits),
-                static_cast<unsigned long long>(pc.memory_misses),
-                static_cast<unsigned long long>(pc.stack_hits),
-                static_cast<unsigned long long>(pc.stack_misses),
-                static_cast<unsigned long long>(pc.released));
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "xfer: hit/miss=%llu/%llu outstanding=%llu\n",
-                static_cast<unsigned long long>(pc.transfer_hits),
-                static_cast<unsigned long long>(pc.transfer_misses),
-                static_cast<unsigned long long>(pc.transfer_outstanding));
-  out += buf;
-  const SnapshotRegistry::Counters& sc = s.snapshot_tier;
-  std::snprintf(buf, sizeof(buf),
-                "snapshot: hit/miss=%llu/%llu builds=%llu failures=%llu\n",
-                static_cast<unsigned long long>(sc.hits),
-                static_cast<unsigned long long>(sc.misses),
-                static_cast<unsigned long long>(sc.builds),
-                static_cast<unsigned long long>(sc.build_failures));
-  out += buf;
-
-  auto us = [](uint64_t ns) { return static_cast<double>(ns) / 1e3; };
-  for (const ModuleSnapshot& m : s.modules) {
-    std::snprintf(buf, sizeof(buf),
-                  "  %-12s reqs=%llu fail=%llu kills=%llu "
-                  "e2e(avg=%.3fms p99=%.3fms) "
-                  "startup(avg=%.1fus p99=%.1fus)\n",
-                  m.name.c_str(), static_cast<unsigned long long>(m.requests),
-                  static_cast<unsigned long long>(m.failures),
-                  static_cast<unsigned long long>(m.kills),
-                  mean_ns(m.end_to_end) / 1e6,
-                  static_cast<double>(m.end_to_end.p99_ns) / 1e6,
-                  mean_ns(m.startup) / 1e3, us(m.startup.p99_ns));
-    out += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  %-12s startup pooled n=%zu (p50=%.1fus p99=%.1fus) "
-        "cold n=%zu (p50=%.1fus p99=%.1fus) "
-        "snapshot n=%zu (p50=%.1fus p99=%.1fus)\n",
-        "", m.startup_pooled.count, us(m.startup_pooled.p50_ns),
-        us(m.startup_pooled.p99_ns), m.startup_cold.count,
-        us(m.startup_cold.p50_ns), us(m.startup_cold.p99_ns),
-        m.startup_snapshot.count, us(m.startup_snapshot.p50_ns),
-        us(m.startup_snapshot.p99_ns));
-    out += buf;
-    if (m.invoke_local != 0 || m.invoke_zerocopy != 0 ||
-        m.invoke_handoff.count != 0) {
-      std::snprintf(buf, sizeof(buf),
-                    "  %-12s invoke local=%llu zerocopy=%llu "
-                    "handoff(p50=%.1fus p99=%.1fus)\n",
-                    "", static_cast<unsigned long long>(m.invoke_local),
-                    static_cast<unsigned long long>(m.invoke_zerocopy),
-                    us(m.invoke_handoff.p50_ns), us(m.invoke_handoff.p99_ns));
-      out += buf;
-    }
-  }
-  return out;
+  return metrics::render_report(snapshot(), config_);
 }
 
 Status run_sandbox_inline(Sandbox* sandbox) {

@@ -415,11 +415,11 @@ class Runtime : public InvokeBroker {
   };
   StatsSnapshot snapshot() const;
 
-  // JSON (`GET /admin/stats`) and Prometheus text exposition
-  // (`GET /admin/metrics`) renderings of snapshot().
+  // JSON (`GET /admin/stats`), Prometheus (`GET /admin/metrics`) and
+  // shutdown-report renderings of snapshot(); all three render every row of
+  // the one metrics table (sledge/metrics.hpp).
   std::string stats_json() const;
   std::string stats_prometheus() const;
-
   std::string stats_report() const;
 
  private:

@@ -474,12 +474,18 @@ int main() {
     EXPECT_EQ(status, 200);
     EXPECT_EQ(body, b);
   }
-  ::close(fd);
 
-  // Every loaned fd came home: the shard ledgers must read zero.
-  auto body = loadgen::http_get("127.0.0.1", rt.bound_port(), "/admin/stats");
-  ASSERT_TRUE(body.ok()) << body.error_message();
-  auto doc = json::parse(*body);
+  // Every loaned fd came home: the shard ledgers must read zero. The scrape
+  // rides the same connection, so its shard parses it only after the last
+  // loan's return was booked (reattach_connection): no race with the
+  // worker's hand-back.
+  ASSERT_TRUE(send_all(fd, "GET /admin/stats HTTP/1.1\r\n\r\n"));
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(recv_response(fd, &status, &body, &carry));
+  EXPECT_EQ(status, 200);
+  ::close(fd);
+  auto doc = json::parse(body);
   ASSERT_TRUE(doc.ok()) << doc.error_message();
   for (const json::Value& shard : (*doc)["listeners"].as_array()) {
     EXPECT_EQ(shard["loaned_conns"].as_int(-1), 0);

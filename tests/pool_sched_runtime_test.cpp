@@ -301,8 +301,8 @@ TEST_F(PoolSchedTest, StatsReportShowsSchedulerAndPool) {
   rt.stop();
   std::string report = rt.stats_report();
   EXPECT_NE(report.find("sched=edf"), std::string::npos) << report;
-  EXPECT_NE(report.find("pool: warm="), std::string::npos) << report;
-  EXPECT_NE(report.find("startup pooled"), std::string::npos) << report;
+  EXPECT_NE(report.find(" pool_hits="), std::string::npos) << report;
+  EXPECT_NE(report.find(" startup_pooled(n="), std::string::npos) << report;
 }
 
 }  // namespace
