@@ -41,6 +41,10 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target io_loop_test
 ctest --preset tsan-io -j "$(nproc)"
 
+echo "== tsan: green-thread switch (fiber-annotated real sandbox dispatch) =="
+cmake --build --preset tsan -j "$(nproc)" --target context_test
+ctest --preset tsan -j "$(nproc)" -R '^ContextTest\.'
+
 echo "== tsan: dispatcher/admission soak (concurrent push/inject/fetch) =="
 cmake --build --preset tsan -j "$(nproc)" --target admission_test
 ctest --preset tsan-dispatch -j "$(nproc)"

@@ -20,6 +20,7 @@ namespace {
 
 int32_t env_memory_grow(AotInst* inst, uint32_t delta_pages) {
   auto* ctx = static_cast<AotInstanceHandle::RunContext*>(inst->rt);
+  HostDepth::Call in_host(ctx->host_depth);
   int32_t old_pages = ctx->memory->grow(delta_pages);
   if (old_pages >= 0) {
     inst->mem_size = ctx->memory->size_bytes();
@@ -42,6 +43,7 @@ uint64_t env_host_call(AotInst* inst, uint32_t import_index,
     slots[i] = Slot::from_u64(args[i]);
   }
   HostCallCtx hctx{MemView{inst->mem, inst->mem_size}, ctx->host_user};
+  HostDepth::Call in_host(ctx->host_depth);
   Slot r = binding->fn(hctx, slots);
   return r.bits;
 }
@@ -260,11 +262,14 @@ InvokeOutcome AotInstanceHandle::invoke(uint32_t func_index,
   TrapFrame frame;
   if (sigsetjmp(frame.env, 1) == 0) {
     TrapScope scope(&frame);
+    run_ctx_->host_depth.enter_guest();
     int32_t rc = module_->invoke_(inst_, func_index, raw_args.data(), &raw_ret);
+    run_ctx_->host_depth.leave_guest();
     if (rc != 0) {
       return InvokeOutcome::failed("function not reachable via dispatcher");
     }
   } else {
+    run_ctx_->host_depth.leave_guest();
     inst_->call_depth = 0;  // unwound mid-call; reset the guard
     return InvokeOutcome::trapped(frame.code);
   }

@@ -50,7 +50,9 @@ class AotInstanceHandle {
     const AotModule* module = nullptr;
     LinearMemory* memory = nullptr;
     void* host_user = nullptr;
+    HostDepth host_depth;
   };
+  const HostDepth& host_depth() const { return run_ctx_->host_depth; }
 
  private:
   friend class AotModule;

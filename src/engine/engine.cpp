@@ -156,6 +156,11 @@ const LinearMemory* WasmSandbox::memory() const {
   return nullptr;
 }
 
+bool WasmSandbox::in_host_call() const {
+  if (aot_.valid()) return aot_.host_depth().in_host();
+  return !instance_ || instance_->host_depth.in_host();
+}
+
 InvokeOutcome WasmSandbox::call(const std::string& export_name,
                                 const std::vector<Value>& args,
                                 ServerlessEnv* env) {

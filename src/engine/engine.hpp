@@ -61,6 +61,10 @@ class WasmSandbox {
   // The sandbox's linear memory, or nullptr for memory-less modules.
   const LinearMemory* memory() const;
 
+  // True unless guest code is running with no engine->host call in
+  // progress (see HostDepth). Async-signal-safe.
+  bool in_host_call() const;
+
  private:
   friend class WasmModule;
 

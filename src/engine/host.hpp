@@ -8,6 +8,7 @@
 // out-of-bounds trap exactly like a bad load would.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -40,6 +41,43 @@ struct MemView {
     }
     return base + ptr;
   }
+};
+
+// Engine->host call depth of one instance: the number of host frames on top
+// of its guest code. The runtime's quantum handler reads it from a SIGALRM
+// handler on the same thread and preempts only at 0, i.e. inside guest
+// code; host code may hold a lock the scheduler takes next (malloc's, the
+// dispatcher's queue mutex). It rests at 1: outside guest code, the
+// engine's own call wrapper included, everything is host code.
+class HostDepth {
+ public:
+  bool in_host() const { return depth_ != 0; }
+  // Top-level call, around guest code. A reset, not a decrement: a trap's
+  // longjmp skips the Call destructors below it.
+  void enter_guest() { set(0); }
+  void leave_guest() { set(1); }
+
+  // Brackets one engine->host call (a binding, or AoT memory.grow).
+  class Call {
+   public:
+    explicit Call(HostDepth& d) : d_(d) { d_.set(d_.depth_ + 1); }
+    ~Call() { d_.set(d_.depth_ - 1); }
+    Call(const Call&) = delete;
+    Call& operator=(const Call&) = delete;
+
+   private:
+    HostDepth& d_;
+  };
+
+ private:
+  // The reader is a signal handler on this thread: keep the store where
+  // the program order puts it.
+  void set(int v) {
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    depth_ = v;
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+  }
+  int depth_ = 1;
 };
 
 struct HostCallCtx {

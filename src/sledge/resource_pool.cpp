@@ -12,6 +12,7 @@ namespace sledge::runtime {
 
 void destroy_stack(ExecStack* stack) {
   if (!stack) return;
+  context_destroy(&stack->ctx);
   if (stack->guard_id >= 0) engine::unregister_guard_region(stack->guard_id);
   if (stack->base) ::munmap(stack->base, stack->size);
   delete stack;

@@ -1,6 +1,6 @@
 // SandboxResourcePool: warm reuse of the three per-request resources the
 // paper's "optimized function startup" allocates — linear memory, a guarded
-// execution stack, and a ucontext (§4).
+// execution stack, and a user-level context (§4).
 //
 // The cold path pays, per request: one mmap (a multi-GiB PROT_NONE
 // reservation under vm_guard), an mprotect commit, a guard-region
@@ -21,9 +21,9 @@
 //     region keeps its high-water resident pages until the reclaim
 //     watermark below releases it to the OS.
 //   * Execution stacks keep their mapping, guard page, and guard-region
-//     registration alive between requests; the ucontext storage rides along
-//     (it is re-initialized by getcontext/makecontext per request). Stacks
-//     are NOT zeroed: the split-stack design means sandboxed loads/stores
+//     registration alive between requests; the Context rides along (its
+//     first frame is re-laid by context_init per request). Stacks are NOT
+//     zeroed: the split-stack design means sandboxed loads/stores
 //     cannot address the C stack, so stale contents are unreachable.
 //
 // Cold starts (InstantiationMode::kCold) bypass the pool entirely: a fresh
@@ -38,26 +38,25 @@
 // path one thread hits its own lock-free list.
 #pragma once
 
-#include <ucontext.h>
-
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
 #include "engine/memory.hpp"
+#include "sledge/context.hpp"
 
 namespace sledge::runtime {
 
 // A pooled execution stack: mmap'd region whose first guard_size bytes are
 // PROT_NONE, registered with the engine's guard-region table so overflow
-// faults become traps, plus reusable ucontext storage.
+// faults become traps, plus the green thread's Context.
 struct ExecStack {
   uint8_t* base = nullptr;  // whole mapping, guard page first
   size_t size = 0;          // total mapping size, guard included
   size_t guard_size = 0;
   int guard_id = -1;
-  ucontext_t ctx;
+  Context ctx;
 };
 
 // Maps and guard-registers a fresh stack (nullptr on mmap failure), and

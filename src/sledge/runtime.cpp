@@ -116,6 +116,8 @@ int Runtime::num_listeners() const {
 Status Runtime::start() {
   if (running_.load()) return Status::error("already running");
   listeners_.clear();
+  stopped_listeners_.clear();
+  stopped_workers_.clear();
   // Shard 0 resolves the port (config_.port may be 0 = kernel-picked);
   // every later shard joins the same SO_REUSEPORT group on that port.
   const int shards = num_listeners();
@@ -235,6 +237,8 @@ void Runtime::stop() {
     retired_totals_.accepted += l->accepted();
     retired_totals_.accept_errors += l->accept_errors();
   }
+  stopped_listeners_ = listener_snapshots();
+  stopped_workers_ = worker_snapshots();
   workers_.clear();
   listeners_.clear();
   if (access_log_fd_ >= 0) {
@@ -502,13 +506,8 @@ Runtime::Totals Runtime::totals() const {
   return t;
 }
 
-Runtime::StatsSnapshot Runtime::snapshot() const {
-  StatsSnapshot s;
-  s.uptime_ns = start_ns_ != 0 ? now_ns() - start_ns_ : 0;
-  s.inflight = inflight();
-  s.totals = totals();
-  s.pool = SandboxResourcePool::instance().counters();
-  s.snapshot_tier = SnapshotRegistry::instance().counters();
+std::vector<Runtime::ListenerSnapshot> Runtime::listener_snapshots() const {
+  std::vector<ListenerSnapshot> out;
   for (const auto& l : listeners_) {
     ListenerSnapshot ls;
     ls.id = l->shard();
@@ -516,8 +515,13 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
     ls.accept_errors = l->accept_errors();
     ls.open_conns = l->open_conns();
     ls.loaned_conns = l->loaned_conns();
-    s.listeners.push_back(ls);
+    out.push_back(ls);
   }
+  return out;
+}
+
+std::vector<Runtime::WorkerSnapshot> Runtime::worker_snapshots() const {
+  std::vector<WorkerSnapshot> out;
   for (size_t i = 0; i < workers_.size(); ++i) {
     const Worker::Stats& w = workers_[i]->stats();
     WorkerSnapshot ws;
@@ -530,8 +534,21 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
     ws.killed = w.killed.load(std::memory_order_relaxed);
     ws.blocked = w.blocked.load(std::memory_order_relaxed);
     ws.woken = w.woken.load(std::memory_order_relaxed);
-    s.workers.push_back(ws);
+    out.push_back(ws);
   }
+  return out;
+}
+
+Runtime::StatsSnapshot Runtime::snapshot() const {
+  StatsSnapshot s;
+  s.uptime_ns = start_ns_ != 0 ? now_ns() - start_ns_ : 0;
+  s.inflight = inflight();
+  s.totals = totals();
+  s.pool = SandboxResourcePool::instance().counters();
+  s.snapshot_tier = SnapshotRegistry::instance().counters();
+  // After stop() the listeners and workers are gone; their last values stay.
+  s.listeners = listeners_.empty() ? stopped_listeners_ : listener_snapshots();
+  s.workers = workers_.empty() ? stopped_workers_ : worker_snapshots();
   for (const auto& [name, mod] : modules_) {
     ModuleSnapshot ms;
     ms.name = name;
@@ -576,7 +593,7 @@ std::string Runtime::stats_report() const {
 }
 
 Status run_sandbox_inline(Sandbox* sandbox) {
-  ucontext_t here;
+  Context here;
   while (true) {
     SandboxState st = sandbox->state();
     if (st == SandboxState::kComplete) return Status::ok();

@@ -430,6 +430,9 @@ class Runtime : public InvokeBroker {
   // the module and applies the same admission control as listener requests.
   // nullptr = shed (err set); counters already recorded.
   LoadedModule* admit_invoke_module(const std::string& name, int32_t* err);
+  // Per-shard and per-core rows of snapshot(), read from the live objects.
+  std::vector<ListenerSnapshot> listener_snapshots() const;
+  std::vector<WorkerSnapshot> worker_snapshots() const;
   // Budget/deadline clipping + I/O config + dataplane flags for an admitted
   // invoke child.
   void configure_invoke_child(Sandbox* parent, LoadedModule* mod,
@@ -456,6 +459,9 @@ class Runtime : public InvokeBroker {
   uint64_t start_ns_ = 0;  // stamped by start(); uptime anchor
   int access_log_fd_ = -1;
   Totals retired_totals_;  // accumulated from workers at stop()
+  // Last listener/worker rows, kept at stop() for the shutdown report.
+  std::vector<ListenerSnapshot> stopped_listeners_;
+  std::vector<WorkerSnapshot> stopped_workers_;
 };
 
 // Runs a sandbox to completion on the calling thread (no server needed):

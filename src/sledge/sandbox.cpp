@@ -5,7 +5,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,7 +15,6 @@
 #include "common/log.hpp"
 #include "engine/trap.hpp"
 #include "sledge/snapshot.hpp"
-#include "sledge/worker.hpp"
 
 using sledge::engine::SbIoError;
 
@@ -195,20 +193,10 @@ std::unique_ptr<Sandbox> Sandbox::create(const engine::WasmModule* module,
   if (!sb->stack_) return nullptr;
   sb->pooled_ = memory_pooled && stack_pooled;
 
-  // User-level context (the paper's ip/sp/mcontext_t triple); the storage
-  // is pooled with the stack, the triple is rebuilt per request.
-  ucontext_t* ctx = &sb->stack_->ctx;
-  ::getcontext(ctx);
-  ctx->uc_stack.ss_sp = sb->stack_->base + kGuardSize;
-  ctx->uc_stack.ss_size = kStackSize;
-  ctx->uc_link = nullptr;
-  // Sandbox code runs with the preemption signal unblocked; the scheduler
-  // keeps it blocked, so quanta only expire inside sandbox execution.
-  sigdelset(&ctx->uc_sigmask, SIGALRM);
-  uintptr_t p = reinterpret_cast<uintptr_t>(sb.get());
-  ::makecontext(ctx, reinterpret_cast<void (*)()>(&entry_trampoline), 2,
-                static_cast<unsigned>(p >> 32),
-                static_cast<unsigned>(p & 0xFFFFFFFFu));
+  // User-level context (the paper's ip/sp pair); the storage is pooled
+  // with the stack, the first frame is laid out per request.
+  context_init(&sb->stack_->ctx, sb->stack_->base + kGuardSize, kStackSize,
+               &entry_trampoline, sb.get());
 
   sb->startup_cost_ns_ = sw.elapsed_ns();
   sb->set_state(SandboxState::kRunnable);
@@ -261,13 +249,11 @@ int Sandbox::os_fd_of(int32_t vfd) const {
   return fd_table_[vfd];
 }
 
-void Sandbox::entry_trampoline(unsigned hi, unsigned lo) {
-  uintptr_t p = (static_cast<uintptr_t>(hi) << 32) | lo;
-  reinterpret_cast<Sandbox*>(p)->entry();
+void Sandbox::entry_trampoline(void* self) {
+  static_cast<Sandbox*>(self)->entry();
 }
 
 void Sandbox::entry() {
-  worker_switch_landed();  // first-dispatch switch complete
   if (t_first_run_ == 0) t_first_run_ = now_ns();
   env_.sleep_hook = [this](uint64_t ns) { sleep_yield(ns); };
   env_.connect_hook = [this](const uint8_t* h, uint32_t l, uint32_t p) {
@@ -304,12 +290,12 @@ void Sandbox::entry() {
     set_state(outcome_.ok() ? SandboxState::kComplete : SandboxState::kFailed);
   }
   // Never returns: hand the core back to the scheduler for good.
-  ::setcontext(scheduler_ctx_);
+  context_switch(&stack_->ctx, scheduler_ctx_);
   std::fprintf(stderr, "fatal: sandbox resumed after completion\n");
   std::abort();
 }
 
-void Sandbox::dispatch(ucontext_t* scheduler_ctx) {
+void Sandbox::dispatch(Context* scheduler_ctx) {
   scheduler_ctx_ = scheduler_ctx;
   set_state(SandboxState::kRunning);
   ++dispatch_count_;
@@ -319,7 +305,7 @@ void Sandbox::dispatch(ucontext_t* scheduler_ctx) {
   // this, round-robin preemption interleaves TrapScopes of different
   // sandboxes on one thread-local chain and unwinds into the wrong stack.
   engine::TrapFrame* sched_chain = engine::exchange_trap_chain(trap_chain_);
-  ::swapcontext(scheduler_ctx, &stack_->ctx);
+  context_switch(scheduler_ctx, &stack_->ctx);
   trap_chain_ = engine::exchange_trap_chain(sched_chain);
   cpu_ns_ += now_ns() - run_started_ns_;
   run_started_ns_ = 0;
@@ -336,8 +322,7 @@ void Sandbox::block_yield(WakeKind kind, int os_fd, uint64_t wake_at_ns) {
   wake_at_ns_ = wake_at_ns;
   uint64_t blocked_at = now_ns();
   set_state(SandboxState::kBlocked);
-  ::swapcontext(&stack_->ctx, scheduler_ctx_);
-  worker_switch_landed();  // wake-dispatch switch complete
+  context_switch(&stack_->ctx, scheduler_ctx_);
   // Resumed (the worker's event loop observed our wake condition — or a
   // kill). Blocked time is the io_wait phase; the worker already excluded
   // it from cpu_ns by stamping slice boundaries in dispatch().

@@ -10,12 +10,11 @@
 // skips every mmap, mprotect, and guard-registration syscall of the cold
 // path.
 //
-// Sandboxes are green threads: the worker swapcontext()s into them, and
-// they come back by completing, blocking (cooperative I/O / sleep), or
-// being preempted by the quantum timer.
+// Sandboxes are green threads: the worker context_switch()es into them,
+// and they come back by completing, blocking (cooperative I/O / sleep), or
+// being preempted by the quantum timer, whose handler switches out only
+// where preemptible() allows.
 #pragma once
-
-#include <ucontext.h>
 
 #include <atomic>
 #include <cstdint>
@@ -24,6 +23,7 @@
 
 #include "common/clock.hpp"
 #include "engine/engine.hpp"
+#include "sledge/context.hpp"
 #include "sledge/resource_pool.hpp"
 
 namespace sledge::runtime {
@@ -39,6 +39,24 @@ enum class SandboxState : uint8_t {
 };
 
 const char* to_string(SandboxState s);
+
+// The one preemption rule. The quantum handler may preempt or deadline-kill
+// a sandbox only when all three hold:
+//   1. the interrupted stack pointer `sp` lies on the sandbox's own stack
+//      (not the scheduler's, not the trap handler's sigaltstack);
+//   2. the sandbox is kRunning (not mid-switch to block or complete);
+//   3. no engine->host call is in progress: host code may hold a lock
+//      (malloc's, the dispatcher's queue mutex) that the scheduler, on the
+//      same thread, takes next.
+// Anywhere else the tick is dropped and the next one retries.
+inline bool preemptible(uintptr_t sp, const ExecStack& stack,
+                        SandboxState state, bool in_host_call) {
+  const uintptr_t lo = reinterpret_cast<uintptr_t>(stack.base) +
+                       stack.guard_size;
+  const uintptr_t hi = reinterpret_cast<uintptr_t>(stack.base) + stack.size;
+  return sp >= lo && sp < hi && state == SandboxState::kRunning &&
+         !in_host_call;
+}
 
 // Why a kBlocked sandbox is parked, i.e. what wakes it (io_loop.hpp):
 //   kTimer   — wake_at_ns() passing (env.sleep_ms)
@@ -130,7 +148,7 @@ class Sandbox {
 
   // Worker-side: run/resume the sandbox on the calling thread. Returns when
   // the sandbox completes, blocks or is preempted; inspect state() after.
-  void dispatch(ucontext_t* scheduler_ctx);
+  void dispatch(Context* scheduler_ctx);
 
   // Sandbox-side (host hook): block for `ns`, yielding the worker core.
   void sleep_yield(uint64_t ns);
@@ -305,8 +323,7 @@ class Sandbox {
   static void set_create_fault_hook(CreateFaultHook hook);
 
   // Test-only: fabricate a blocked state + wake condition without running
-  // sandbox code (IoLoop unit tests stay free of ucontext switches so they
-  // can run under TSan).
+  // sandbox code (IoLoop unit tests park sandboxes no worker dispatched).
   void test_set_blocked(WakeKind kind, int os_fd, uint64_t wake_at_ns) {
     wake_kind_ = kind;
     wake_fd_ = os_fd;
@@ -368,18 +385,14 @@ class Sandbox {
   // skipped). Drives the startup_snapshot histogram split.
   bool snapshot_backed() const { return snapshot_backed_; }
 
-  ucontext_t* context() { return &stack_->ctx; }
-  ucontext_t* scheduler_context() { return scheduler_ctx_; }
+  Context* context() { return &stack_->ctx; }
 
-  // True when `p` lies on this sandbox's execution stack (above the guard
-  // page). The quantum handler runs on whatever stack the signal interrupted,
-  // so it probes a local's address with this to tell "inside sandbox code"
-  // from the swapcontext mask-switch window (still on the scheduler stack)
-  // or the trap handler's sigaltstack — contexts it must never save.
-  bool on_own_stack(const void* p) const {
-    const uint8_t* u = static_cast<const uint8_t*>(p);
-    return stack_ != nullptr && u >= stack_->base + stack_->guard_size &&
-           u < stack_->base + stack_->size;
+  // The preemption rule above, for the stack pointer the quantum signal
+  // interrupted. Async-signal-safe.
+  bool preemptible(uintptr_t interrupted_sp) const {
+    return stack_ != nullptr &&
+           runtime::preemptible(interrupted_sp, *stack_, state(),
+                                wasm_.in_host_call());
   }
 
   // Opaque owner tag (the runtime stores its LoadedModule* here so workers
@@ -388,7 +401,7 @@ class Sandbox {
 
  private:
   Sandbox() = default;
-  static void entry_trampoline(unsigned hi, unsigned lo);
+  static void entry_trampoline(void* self);
   void entry();
   // Parks the sandbox (kBlocked + wake condition), swaps to the scheduler,
   // and on resume accumulates io_wait and raises a deadline trap if a kill
@@ -408,11 +421,11 @@ class Sandbox {
   uint64_t conn_gen_ = 0;
   bool keep_alive_ = false;
 
-  ExecStack* stack_ = nullptr;  // pooled: guarded stack + ucontext storage
+  ExecStack* stack_ = nullptr;  // pooled: guarded stack + its Context
   bool pooled_ = false;
   bool cold_ = false;  // kCold: memory and stack bypass the pool
   bool snapshot_backed_ = false;
-  ucontext_t* scheduler_ctx_ = nullptr;  // valid while running
+  Context* scheduler_ctx_ = nullptr;  // valid while running
   uint64_t wake_at_ns_ = 0;
   WakeKind wake_kind_ = WakeKind::kNone;
   int wake_fd_ = -1;  // OS fd backing kFdRead/kFdWrite waits

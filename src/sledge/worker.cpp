@@ -24,68 +24,40 @@ namespace sledge::runtime {
 
 namespace {
 thread_local Worker* tls_worker = nullptr;
-
-// True while a scheduler→sandbox context switch is in flight on this
-// thread: from just before the scheduler's swapcontext until the sandbox
-// side's first landing point (entry start, quantum-handler resume, or
-// block_yield resume) calls worker_switch_landed(). swapcontext is not
-// atomic — it installs the target's signal mask (unblocking SIGALRM) and
-// restores %rsp several instructions before the argument registers — so a
-// quantum signal landing mid-switch sees current_/kRunning but must not
-// save a context: it would clobber the very ucontext the interrupted
-// swapcontext is still loading from.
-thread_local std::atomic<bool> t_switch_in_flight{false};
 }
 
-void worker_switch_landed() {
-  t_switch_in_flight.store(false, std::memory_order_relaxed);
-}
-
-// Quantum expiry: save the running sandbox's context (the paper's
-// mcontext_t save) and switch to the scheduler context. Runs on the
-// sandbox's stack; the sandbox resumes by returning from this handler.
+// Quantum expiry, on whatever stack the tick interrupted. It acts only
+// where the one preemption rule holds (preemptible(), sandbox.hpp) for the
+// interrupted stack pointer; anywhere else it returns, and the timer's
+// 100 us interval retries. Preempting switches to the scheduler from inside
+// the handler: the kernel's signal frame, with the interrupted code's full
+// register and xsave state, stays on the sandbox stack, and the sandbox
+// resumes by returning from this handler through sigreturn.
 //
 // Deadline enforcement lives here too: an over-budget sandbox is not
 // rotated but unwound via the engine's trap machinery (raise_trap longjmps
 // to the TrapScope inside the sandbox's invoke), so Sandbox::entry observes
 // a kDeadlineExceeded outcome and parks the sandbox in kKilled.
-void worker_quantum_handler(int) {
+void worker_quantum_handler(int, siginfo_t*, void* uc) {
   Worker* w = tls_worker;
   if (!w) return;
   Sandbox* sb = w->current_;
-  if (!sb || sb->state() != SandboxState::kRunning) return;
-  // Mid-switch: preempting now would save into (and clobber) the ucontext
-  // the interrupted swapcontext is still loading from. Defer by one minimal
-  // slice; the retry lands inside sandbox code (under saturation this
-  // window was hit reliably — a pending SIGALRM is delivered the instant
-  // the switch unblocks it).
-  if (t_switch_in_flight.load(std::memory_order_relaxed)) {
-    w->rearm_timer_min();
-    return;
-  }
-  // Off-stack delivery (the trap handler's sigaltstack during a guard
-  // fault): same deferral — saving a context that points into the altstack
-  // would resume a dead frame. The handler runs on the interrupted stack,
-  // so a local's address identifies where the signal landed.
-  char probe;
-  if (!sb->on_own_stack(&probe)) {
-    w->rearm_timer_min();
-    return;
-  }
-  if ((sb->kill_requested() || sb->deadline_exceeded(now_ns())) &&
-      engine::in_trap_scope()) {
+  const auto sp = static_cast<uintptr_t>(
+      static_cast<ucontext_t*>(uc)->uc_mcontext.gregs[REG_RSP]);
+  if (!sb || !sb->preemptible(sp)) return;
+  // Leaving kRunning first makes the rule false for a nested tick
+  // (SA_NODEFER lets one in).
+  sb->set_state(SandboxState::kRunnable);
+  if (sb->kill_requested() || sb->deadline_exceeded(now_ns())) {
     sb->request_kill();
     engine::raise_trap(engine::TrapCode::kDeadlineExceeded);  // no return
   }
-  sb->set_state(SandboxState::kRunnable);
   sb->note_preempted();
   w->stats_.preemptions.fetch_add(1, std::memory_order_relaxed);
-  ::swapcontext(sb->context(), &w->sched_ctx_);
-  // Resumed: the re-dispatch switch is complete once control is back here.
-  worker_switch_landed();
-  // Returning re-enters the interrupted sandbox code — unless a kill
-  // arrived while we were descheduled (wall deadline passing).
-  if (sb->kill_requested() && engine::in_trap_scope()) {
+  context_switch(sb->context(), &w->sched_ctx_);
+  // Returning re-enters the interrupted guest code — unless a kill arrived
+  // while we were descheduled (wall deadline passing).
+  if (sb->kill_requested()) {
     engine::raise_trap(engine::TrapCode::kDeadlineExceeded);
   }
 }
@@ -96,9 +68,12 @@ void install_quantum_handler_once() {
   static std::once_flag once;
   std::call_once(once, [] {
     struct sigaction sa;
-    sa.sa_handler = worker_quantum_handler;
+    sa.sa_sigaction = worker_quantum_handler;
     sigemptyset(&sa.sa_mask);
-    sa.sa_flags = SA_RESTART;
+    // SA_NODEFER: the handler may leave by switching (preemption) or by
+    // longjmp (deadline kill), so SIGALRM must stay deliverable without a
+    // mask change on either path.
+    sa.sa_flags = SA_SIGINFO | SA_NODEFER | SA_RESTART;
     sigaction(SIGALRM, &sa, nullptr);
   });
 }
@@ -154,21 +129,15 @@ void Worker::arm_timer(const Sandbox* sb) {
   itimerspec its{};
   its.it_value.tv_sec = ns / 1'000'000'000;
   its.it_value.tv_nsec = ns % 1'000'000'000;
+  // A tick the preemption rule drops (the sandbox is in a host call, or
+  // mid-switch) is retried one floor slice later.
+  its.it_interval.tv_nsec = kMinSliceNs;
   ::timer_settime(timer_, 0, &its, nullptr);
 }
 
 void Worker::disarm_timer() {
   if (!timer_valid_) return;
   itimerspec its{};  // zero = disarm
-  ::timer_settime(timer_, 0, &its, nullptr);
-}
-
-void Worker::rearm_timer_min() {
-  // Called from the quantum signal handler (timer_settime is
-  // async-signal-safe): retry the preemption after a minimal slice.
-  if (!timer_valid_) return;
-  itimerspec its{};
-  its.it_value.tv_nsec = 100'000;  // 100 us
   ::timer_settime(timer_, 0, &its, nullptr);
 }
 
@@ -183,13 +152,6 @@ void Worker::thread_main() {
     SLEDGE_LOG_ERROR("worker %d: %s", index_, io_st.message().c_str());
     return;
   }
-
-  // The scheduler runs with SIGALRM blocked; only sandbox contexts (whose
-  // uc_sigmask unblocks it) can take the quantum signal.
-  sigset_t mask;
-  sigemptyset(&mask);
-  sigaddset(&mask, SIGALRM);
-  pthread_sigmask(SIG_BLOCK, &mask, nullptr);
 
   // FIFO run-to-completion never arms the quantum timer: a dispatched
   // sandbox keeps the core until it completes, blocks, or traps.
@@ -301,11 +263,7 @@ void Worker::dispatch(Sandbox* sb) {
   const bool preempt = policy_->allows_preemption();
   current_ = sb;
   if (preempt) arm_timer(sb);
-  // Gate the quantum handler across the non-atomic swapcontext below; the
-  // sandbox-side landing point clears it (see t_switch_in_flight).
-  t_switch_in_flight.store(true, std::memory_order_relaxed);
   sb->dispatch(&sched_ctx_);
-  t_switch_in_flight.store(false, std::memory_order_relaxed);
   if (preempt) disarm_timer();
   current_ = nullptr;
 

@@ -7,7 +7,7 @@
 // preemption.
 #pragma once
 
-#include <ucontext.h>
+#include <signal.h>
 
 #include <atomic>
 #include <cstdint>
@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "sledge/context.hpp"
 #include "sledge/io_loop.hpp"
 #include "sledge/sandbox.hpp"
 #include "sledge/scheduler_policy.hpp"
@@ -24,13 +25,6 @@ namespace sledge::runtime {
 
 class Runtime;
 struct LoadedModule;
-
-// Marks the scheduler→sandbox context switch on this thread complete.
-// Called by the sandbox-side landing points (Sandbox::entry start,
-// block_yield resume, quantum-handler resume); the quantum handler defers
-// preemption while a switch is in flight because swapcontext is not atomic
-// (it unblocks SIGALRM and restores registers in several steps).
-void worker_switch_landed();
 
 class Worker {
  public:
@@ -69,7 +63,7 @@ class Worker {
   const Stats& stats() const { return stats_; }
 
  private:
-  friend void worker_quantum_handler(int);
+  friend void worker_quantum_handler(int, siginfo_t*, void*);
 
   // Per-request phase breakdown, captured at finalize() so it outlives the
   // sandbox: the response-write phase completes after the sandbox is gone.
@@ -122,16 +116,12 @@ class Worker {
   // wall deadline so kills land promptly, not at the next full quantum.
   void arm_timer(const Sandbox* sb);
   void disarm_timer();
-  // Async-signal-safe: re-arms a minimal (100us) slice. Used by the quantum
-  // handler to defer a preemption that landed off the sandbox stack (the
-  // swapcontext mask-switch window).
-  void rearm_timer_min();
 
   Runtime* rt_;
   int index_;
   std::thread thread_;
 
-  ucontext_t sched_ctx_;
+  Context sched_ctx_;
   Sandbox* current_ = nullptr;
 
   std::unique_ptr<SchedulerPolicy> policy_;

@@ -4,7 +4,7 @@
 // guard against sticky all-time p99s latching the server shut), and the
 // Dispatcher push/inject/fetch contract — including a multi-threaded
 // overload soak. Sandboxes are created but never dispatched, so this binary
-// is sanitizer-safe (no swapcontext, no SIGALRM) and rides the TSan preset.
+// is sanitizer-safe (no SIGALRM) and rides the TSan preset.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -346,8 +346,8 @@ TEST(ShardedDispatcherTest, ModuleAlwaysLandsOnSameWorker) {
 
 // ---- Multi-threaded overload soak (the TSan target) --------------------
 //
-// The full-server soak lives in dispatch_test.cpp (ucontext + SIGALRM are
-// not sanitizer-trackable); this one exercises the same dispatcher and
+// The full-server soak lives in dispatch_test.cpp (the SIGALRM quantum
+// timer is not sanitizer-trackable); this one exercises the same dispatcher and
 // predictor concurrency with real threads: one listener-like pusher, three
 // worker-side injectors, four fetching workers, 2k sandboxes of mixed
 // deadlines, plus concurrent predictor reads against a recording writer.

@@ -3,8 +3,8 @@
 // outstanding-loan ledger), the TransferLoan last-holder-returns contract
 // under racing destructor orders, and the dispatcher's locality-hinted
 // inject queues (no sandbox lost or duplicated, hints routed, overflow to
-// the shared entrance). No sandbox ever *executes* here — no ucontext
-// switches or SIGALRM — so the whole file runs under tsan and asan; this is
+// the shared entrance). No sandbox ever *executes* here — no quantum
+// timer, no SIGALRM — so the whole file runs under tsan and asan; this is
 // what the `tsan-invoke` preset races.
 #include <gtest/gtest.h>
 

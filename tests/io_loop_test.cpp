@@ -1,5 +1,5 @@
 // IoLoop unit tests (sanitizer-safe: no sandbox is ever dispatched, so no
-// ucontext switches or SIGALRM preemption — wake conditions are fabricated
+// SIGALRM preemption — wake conditions are fabricated
 // via Sandbox::test_set_blocked). Covers the timer min-heap, fd wakes,
 // cross-thread notify, deadline kills of blocked sandboxes, stale-entry
 // validation, and EPOLLOUT write-fd parking. Also the MemView zero-length

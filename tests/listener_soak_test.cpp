@@ -2,7 +2,7 @@
 // control path (404, alloc-fault 503, chunked 501, malformed
 // Content-Length 400, /admin scrapes) across two SO_REUSEPORT shards with
 // interleaved keep-alive connections — without ever *executing* a sandbox,
-// so no ucontext switches or SIGALRM preemption run under tsan/asan. This
+// so no SIGALRM preemption runs under tsan/asan. This
 // is the suite the `tsan-listener` preset races: shard epoll loops, batched
 // admission, the writev control path, and the cross-thread stats plane.
 #include <gtest/gtest.h>

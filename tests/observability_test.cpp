@@ -299,6 +299,35 @@ TEST(ObservabilityTest, LoadgenScrapesServerStats) {
   rt.stop();
 }
 
+// stop() destroys the listeners and workers before the shutdown report is
+// rendered; their last rows must still be in it, with the counts they ended
+// on.
+TEST(ObservabilityTest, ShutdownReportKeepsListenerAndWorkerLines) {
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  cfg.num_listeners = 1;
+  Runtime rt(cfg);
+  ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+  int status = 0;
+  auto body = loadgen::single_request("127.0.0.1", rt.bound_port(), "/ping",
+                                      {}, &status);
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(status, 200);
+  rt.stop();
+
+  const std::string report = rt.stats_report();
+  EXPECT_NE(report.find("\nlistener 0: accepted=1 "), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\nworker 0: dispatches=1 "), std::string::npos)
+      << report;
+  const Runtime::StatsSnapshot s = rt.snapshot();
+  ASSERT_EQ(s.workers.size(), 1u);
+  EXPECT_EQ(s.workers[0].completed, 1u);
+  ASSERT_EQ(s.listeners.size(), 1u);
+  EXPECT_EQ(s.listeners[0].accepted, 1u);
+}
+
 // ---- Structured access log ----
 
 TEST(ObservabilityTest, AccessLogWritesOneJsonLinePerRequest) {

@@ -1,13 +1,15 @@
 // Pool + scheduling policy through the full runtime: cross-request
 // isolation under warm reuse (every bounds strategy), cold starts that
 // bypass the pool, EDF ordering under contention, FIFO's no-preemption
-// guarantee, round-robin parity with the seed, and the stats surface.
-// Uses ucontext dispatch, so not sanitizer-labeled.
+// guarantee, round-robin parity with the seed, guest state that survives
+// preemption bit for bit, and the stats surface. Runs the SIGALRM quantum
+// timer, so not sanitizer-labeled.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "apps/workloads.hpp"
 #include "common/clock.hpp"
 #include "loadgen/loadgen.hpp"
 #include "minicc/minicc.hpp"
@@ -250,6 +252,63 @@ TEST_F(PoolSchedTest, RoundRobinStillPreempts) {
   spinner.join();
   rt.stop();
   EXPECT_GT(rt.totals().preemptions, 0u);
+}
+
+// Preemption is invisible to the guest. CIFAR-10 (a floating-point CNN) is
+// served on 3 workers under a 200 us quantum, so every request is switched
+// out many times at arbitrary guest instructions from inside the SIGALRM
+// handler; each response must match, byte for byte, the same request run to
+// completion under FIFO. This pins the integer, FP and vector state a
+// preemption has to carry across the switch.
+TEST_F(PoolSchedTest, PreemptedCifar10MatchesRunToCompletion) {
+  auto wasm = apps::app_wasm("cifar10");
+  ASSERT_TRUE(wasm.ok()) << wasm.error_message();
+  std::vector<std::vector<uint8_t>> requests;
+  for (int i = 0; i < 9; ++i) {
+    std::vector<uint8_t> image = apps::app_request("cifar10");
+    for (size_t j = static_cast<size_t>(i); j < image.size(); j += 5) {
+      image[j] = static_cast<uint8_t>(image[j] + 17 * i);
+    }
+    requests.push_back(std::move(image));
+  }
+
+  auto serve = [&](SchedPolicy sched, uint64_t* preemptions) {
+    RuntimeConfig cfg;
+    cfg.workers = 3;
+    cfg.sched = sched;
+    cfg.quantum_us = 200;
+    Runtime rt(cfg);
+    EXPECT_TRUE(rt.register_module("cifar10", wasm.value()).is_ok());
+    EXPECT_TRUE(rt.start().is_ok());
+    std::vector<std::vector<uint8_t>> responses(requests.size());
+    std::vector<std::thread> clients;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      clients.emplace_back([&, i] {
+        int status = 0;
+        auto r = loadgen::single_request("127.0.0.1", rt.bound_port(),
+                                         "/cifar10", requests[i], &status);
+        EXPECT_TRUE(r.ok()) << r.error_message();
+        EXPECT_EQ(status, 200);
+        if (r.ok()) responses[i] = r.value();
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    rt.stop();
+    *preemptions = 0;
+    for (const auto& w : rt.snapshot().workers) *preemptions += w.preemptions;
+    return responses;
+  };
+
+  uint64_t fifo_preemptions = 0, rr_preemptions = 0;
+  const auto expected =
+      serve(SchedPolicy::kFifoRunToCompletion, &fifo_preemptions);
+  const auto preempted = serve(SchedPolicy::kRoundRobin, &rr_preemptions);
+  EXPECT_EQ(fifo_preemptions, 0u);
+  EXPECT_GT(rr_preemptions, 0u);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_FALSE(expected[i].empty()) << "request " << i;
+    EXPECT_EQ(preempted[i], expected[i]) << "request " << i;
+  }
 }
 
 // The cold-start ablation: instantiation=cold in the runtime config makes

@@ -3,7 +3,7 @@
 // zeros, via in-place zeroing and via the madvise+mprotect fallback),
 // free-list caps, the reclaim watermark, and the engine-level
 // recycled-instantiate path. Sanitizer-safe: interpreter tiers only, no
-// ucontext dispatch; the only fault taken is one vm_guard trap, caught by
+// sandbox dispatch; the only fault taken is one vm_guard trap, caught by
 // the engine's own SIGSEGV handler.
 #include <gtest/gtest.h>
 #include <unistd.h>

@@ -94,7 +94,7 @@ TEST(SandboxTest, CooperativeSleepBlocksAndResumes) {
   ASSERT_NE(sb, nullptr);
 
   // First dispatch must come back blocked, not complete.
-  ucontext_t here;
+  Context here;
   sb->dispatch(&here);
   EXPECT_EQ(sb->state(), SandboxState::kBlocked);
   EXPECT_GT(sb->wake_at_ns(), now_ns());

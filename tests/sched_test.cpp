@@ -1,7 +1,7 @@
 // SchedulerPolicy unit tests: ordering and preemption contracts of the
 // three per-worker policies (round-robin, FIFO run-to-completion, EDF) at
 // the data-structure level. Sandboxes are created but never dispatched, so
-// this binary is sanitizer-safe (no swapcontext, no SIGALRM).
+// this binary is sanitizer-safe (no SIGALRM).
 #include <gtest/gtest.h>
 
 #include <memory>

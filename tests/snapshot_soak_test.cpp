@@ -1,6 +1,6 @@
 // Concurrency soaks for the snapshot subsystem, sanitizer-safe: sandboxes
-// are created and destroyed but never dispatched (no ucontext swaps, which
-// TSan cannot track), interpreter tiers only. Covers the registry's
+// are created and destroyed but never dispatched (no SIGALRM, which TSan
+// cannot track), interpreter tiers only. Covers the registry's
 // build-once guarantee under racing first requests, and concurrent
 // snapshot-backed create/destroy cycling through the resource pool.
 #include <gtest/gtest.h>
