@@ -6,24 +6,22 @@
 //     Nuclio-model per-invocation cost).
 // Reports avg and p99 over SLEDGE_BENCH_ITERS iterations (default 300;
 // paper used 10k), plus the creation-only component — for each of the
-// three instantiation tiers:
+// two instantiation tiers:
 //   cold     fresh mmap reservation and stack per sandbox, both unmapped
 //            at teardown (never touches the resource pool)
 //   pooled   recycled reservation from the sandbox resource pool
-//   snapshot pooled reservation + MAP_PRIVATE mmap of the sealed memfd
-//            template (post-start image materializes copy-on-write; no
-//            zeroing, no data-segment copies, no start function)
-// Emits BENCH_churn.json (override path with SLEDGE_BENCH_OUT).
+// Emits BENCH_churn.json (override path with SLEDGE_BENCH_OUT), stamped
+// with the source revision, host core count and mode.
 //
-// --smoke: measure just the three creation tiers at reduced iterations and
-// fail (exit 1) unless cold p50 exceeds both the pooled and the snapshot
-// p50. CI-sized acceptance gate for the warm tiers (scripts/check.sh).
+// --smoke: measure just the two creation tiers and fail (exit 1) unless
+// cold p50 exceeds pooled p50. CI-sized acceptance gate for the warm tier
+// (scripts/check.sh).
 #include <cstring>
+#include <thread>
 
 #include "bench_util.hpp"
 #include "procfaas/procfaas.hpp"
 #include "sledge/runtime.hpp"
-#include "sledge/snapshot.hpp"
 
 using namespace sledge;
 using namespace sledge::bench;
@@ -31,8 +29,7 @@ using namespace sledge::bench;
 namespace {
 
 // One per-tier measurement pass: drain the process-wide pool, warm
-// unrelated caches with a throwaway request (which also builds the
-// snapshot template on the snapshot tier), then time Sandbox::create over
+// unrelated caches with a throwaway request, then time Sandbox::create over
 // `iters` full create/run/teardown cycles (teardown is what refills the
 // free lists between pooled iterations).
 bool measure_create(const engine::WasmModule* mod,
@@ -59,19 +56,16 @@ bool measure_create(const engine::WasmModule* mod,
 }
 
 struct Tiers {
-  LatencyHistogram cold, pooled, snapshot;
+  LatencyHistogram cold, pooled;
 };
 
 bool measure_tiers(const engine::WasmModule* mod,
                    const std::vector<uint8_t>& request, int iters, Tiers* t) {
   using runtime::InstantiationMode;
-  runtime::SnapshotRegistry::instance().reset_counters();
   return measure_create(mod, request, iters, InstantiationMode::kCold,
                         &t->cold) &&
          measure_create(mod, request, iters, InstantiationMode::kPooled,
-                        &t->pooled) &&
-         measure_create(mod, request, iters, InstantiationMode::kSnapshot,
-                        &t->snapshot);
+                        &t->pooled);
 }
 
 double p50_us(const LatencyHistogram& h) {
@@ -84,23 +78,12 @@ void print_tiers(const Tiers& t) {
               p50_us(t.cold), t.cold.p99_us());
   std::printf("%-36s %10.1fus %10.1fus\n", "create, pooled (recycled rsv)",
               p50_us(t.pooled), t.pooled.p99_us());
-  std::printf("%-36s %10.1fus %10.1fus\n", "create, snapshot (COW template)",
-              p50_us(t.snapshot), t.snapshot.p99_us());
   std::printf("%-36s %11.2fx\n", "cold / pooled p50 ratio",
               p50_us(t.cold) / p50_us(t.pooled));
-  std::printf("%-36s %11.2fx\n", "pooled / snapshot p50 ratio",
-              p50_us(t.pooled) / p50_us(t.snapshot));
-  const runtime::SnapshotRegistry::Counters sc =
-      runtime::SnapshotRegistry::instance().counters();
-  std::printf("snapshot registry: hits=%llu misses=%llu builds=%llu "
-              "failures=%llu\n",
-              static_cast<unsigned long long>(sc.hits),
-              static_cast<unsigned long long>(sc.misses),
-              static_cast<unsigned long long>(sc.builds),
-              static_cast<unsigned long long>(sc.build_failures));
 }
 
-bool write_json(const Tiers& t, int iters, const LatencyHistogram* fork_exec) {
+bool write_json(const Tiers& t, int iters, bool smoke,
+                const LatencyHistogram* fork_exec) {
   const char* out_path = std::getenv("SLEDGE_BENCH_OUT");
   if (!out_path || !out_path[0]) out_path = "BENCH_churn.json";
   FILE* f = std::fopen(out_path, "w");
@@ -117,46 +100,34 @@ bool write_json(const Tiers& t, int iters, const LatencyHistogram* fork_exec) {
   };
   std::fprintf(f,
                "{\n  \"bench\": \"churn\",\n"
-               "  \"workload\": {\"app\": \"ekf\", \"iters\": %d},\n"
+               "  \"workload\": {\"app\": \"ekf\", \"iters\": %d, "
+               "\"smoke\": %s},\n"
+               "  \"rev\": \"%s\",\n  \"host_cores\": %u,\n"
                "  \"tiers\": [\n",
-               iters);
+               iters, smoke ? "true" : "false", git_rev().c_str(),
+               std::thread::hardware_concurrency());
   tier("cold", t.cold, ",");
-  tier("pooled", t.pooled, ",");
-  tier("snapshot", t.snapshot, fork_exec ? "," : "");
+  tier("pooled", t.pooled, fork_exec ? "," : "");
   if (fork_exec) tier("fork_exec_native", *fork_exec, "");
   std::fprintf(f,
-               "  ],\n  \"headline\": {\"cold_over_pooled_p50\": %.3f, "
-               "\"pooled_over_snapshot_p50\": %.3f, "
-               "\"cold_over_snapshot_p50\": %.3f}\n}\n",
-               p50_us(t.cold) / p50_us(t.pooled),
-               p50_us(t.pooled) / p50_us(t.snapshot),
-               p50_us(t.cold) / p50_us(t.snapshot));
+               "  ],\n  \"headline\": {\"cold_over_pooled_p50\": %.3f}\n}\n",
+               p50_us(t.cold) / p50_us(t.pooled));
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
   return true;
 }
 
-// The CI gate: both warm tiers must beat a cold start, or pooling is not
-// earning its keep. The two warm tiers are not ordered: a pooled create
-// re-arms an in-place-zeroed region without a syscall, so it lands within
-// noise of a snapshot create; their ratio is reported, not asserted.
+// The CI gate: the warm tier must beat a cold start, or pooling is not
+// earning its keep.
 int check_ordering(const Tiers& t) {
-  const struct {
-    const char* name;
-    double p50;
-  } warm[] = {{"pooled", p50_us(t.pooled)}, {"snapshot", p50_us(t.snapshot)}};
-  for (const auto& w : warm) {
-    if (w.p50 >= p50_us(t.cold)) {
-      std::fprintf(stderr,
-                   "FAIL: %s create p50 (%.1fus) not below cold p50 "
-                   "(%.1fus)\n",
-                   w.name, w.p50, p50_us(t.cold));
-      return 1;
-    }
+  if (p50_us(t.pooled) >= p50_us(t.cold)) {
+    std::fprintf(stderr,
+                 "FAIL: pooled create p50 (%.1fus) not below cold p50 "
+                 "(%.1fus)\n",
+                 p50_us(t.pooled), p50_us(t.cold));
+    return 1;
   }
-  std::printf("PASS: cold p50 > pooled p50 and snapshot p50 "
-              "(pooled / snapshot = %.2fx, not gated)\n",
-              p50_us(t.pooled) / p50_us(t.snapshot));
+  std::printf("PASS: cold p50 > pooled p50\n");
   return 0;
 }
 
@@ -165,7 +136,7 @@ int check_ordering(const Tiers& t) {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   print_header(
-      smoke ? "Churn smoke: cold vs pooled vs snapshot startup (GPS-EKF)"
+      smoke ? "Churn smoke: cold vs pooled startup (GPS-EKF)"
             : "Churn: Sledge sandbox vs fork+exec+wait (GPS-EKF)",
       "Table 3");
 
@@ -193,9 +164,8 @@ int main(int argc, char** argv) {
 
   if (smoke) {
     int rc = check_ordering(tiers);
-    if (rc == 0 && !write_json(tiers, iters, nullptr)) rc = 1;
+    if (rc == 0 && !write_json(tiers, iters, smoke, nullptr)) rc = 1;
     runtime::SandboxResourcePool::instance().purge();
-    runtime::SnapshotRegistry::instance().clear();
     return rc;
   }
 
@@ -210,7 +180,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < iters; ++i) {
     Stopwatch sw;
     auto sb = runtime::Sandbox::create(&mod.value(), request, -1, false,
-                                       runtime::InstantiationMode::kSnapshot);
+                                       runtime::InstantiationMode::kPooled);
     if (!sb) return 1;
     runtime::run_sandbox_inline(sb.get());
     sb.reset();  // teardown included
@@ -228,7 +198,7 @@ int main(int argc, char** argv) {
 
   std::printf("%-36s %12s %12s\n", "", "Avg", "99%");
   std::printf("%-36s %10.1fus %10.1fus\n",
-              "Sledge create+run+teardown (snap)", sandbox_full.mean_us(),
+              "Sledge create+run+teardown (pooled)", sandbox_full.mean_us(),
               sandbox_full.p99_us());
   std::printf("%-36s %10.1fus %10.1fus\n", "fork + exec + wait (native)",
               fork_exec.mean_us(), fork_exec.p99_us());
@@ -241,8 +211,7 @@ int main(int argc, char** argv) {
               "fork+exec+wait 487us avg / 588us p99 (~8x avg).\n");
 
   int rc = check_ordering(tiers);
-  if (!write_json(tiers, iters, &fork_exec)) rc = 1;
+  if (!write_json(tiers, iters, smoke, &fork_exec)) rc = 1;
   runtime::SandboxResourcePool::instance().purge();
-  runtime::SnapshotRegistry::instance().clear();
   return rc;
 }

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -236,15 +235,15 @@ Leg finish(const BatchLeg& b) {
   return leg;
 }
 
-// One runtime serves both dataplanes: the global config is shm, and a
-// second registration of the chain head under the per-module kCopy
-// override gives the copy leg. Measuring both legs inside a single
-// instance removes every instance-level confound (thread placement,
-// sandbox-pool warmth, listener shard luck) from the comparison.
-std::unique_ptr<runtime::Runtime> start_runtime(int calls) {
+// One runtime per dataplane, identical but for `invoke_dataplane`: the
+// copy leg runs on its own kCopy runtime, every other leg on the kShm one.
+// An idle runtime's workers sleep in epoll, so the one not being driven
+// costs the other nothing.
+std::unique_ptr<runtime::Runtime> start_runtime(
+    int calls, runtime::InvokeDataplane dataplane) {
   runtime::RuntimeConfig cfg;
   cfg.workers = 3;
-  cfg.invoke_dataplane = runtime::InvokeDataplane::kShm;
+  cfg.invoke_dataplane = dataplane;
   auto rt = std::make_unique<runtime::Runtime>(cfg);
   struct Mod {
     const char* name;
@@ -262,7 +261,6 @@ std::unique_ptr<runtime::Runtime> start_runtime(int calls) {
   }
   const Mod mods[] = {
       {"chainloop", chainloop_src(calls)},
-      {"chainloop_copy", chainloop_src(calls)},
       {"fetchloop", fetchloop_src(calls)},
       {"echo", echo.value()},
       {"chain", chain.value()},
@@ -276,11 +274,7 @@ std::unique_ptr<runtime::Runtime> start_runtime(int calls) {
       std::fprintf(stderr, "%s: %s\n", m.name, wasm.error_message().c_str());
       return nullptr;
     }
-    runtime::ModuleLimits limits;
-    if (std::strcmp(m.name, "chainloop_copy") == 0) {
-      limits.invoke_dataplane = runtime::InvokeDataplaneOverride::kCopy;
-    }
-    if (!rt->register_module(m.name, wasm.value(), limits).is_ok()) {
+    if (!rt->register_module(m.name, wasm.value()).is_ok()) {
       return nullptr;
     }
   }
@@ -314,8 +308,9 @@ int main(int argc, char** argv) {
               conc);
   std::printf("%-22s | %8s %8s %8s |\n", "leg", "p50 ms", "p99 ms", "mean");
 
-  auto rt = start_runtime(calls);
-  if (!rt) return 1;
+  auto rt = start_runtime(calls, runtime::InvokeDataplane::kShm);
+  auto rt_copy = start_runtime(calls, runtime::InvokeDataplane::kCopy);
+  if (!rt || !rt_copy) return 1;
   EchoPeer peer;
 
   std::vector<uint8_t> loop_body;
@@ -332,7 +327,7 @@ int main(int argc, char** argv) {
       payload.begin() + (payload.size() < 3000 ? payload.size() : 3000));
 
   BatchLeg batch_legs[] = {
-      {"2stage_copy", rt->bound_port(), "/chainloop_copy", payload},
+      {"2stage_copy", rt_copy->bound_port(), "/chainloop", payload},
       {"2stage_shm", rt->bound_port(), "/chainloop", payload},
       {"2stage_loopback", rt->bound_port(), "/fetchloop", loop_body},
       {"3stage_nested_join", rt->bound_port(), "/chain_nested", payload3},
@@ -377,6 +372,7 @@ int main(int argc, char** argv) {
   const auto pool_counters =
       runtime::SandboxResourcePool::instance().counters();
   rt->stop();
+  rt_copy->stop();
 
   const Leg& copy = legs[0];
   const Leg& shm = legs[1];

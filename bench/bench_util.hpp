@@ -20,6 +20,9 @@
 #ifndef SLEDGE_FN_BINDIR
 #define SLEDGE_FN_BINDIR "build/src/apps"
 #endif
+#ifndef SLEDGE_SOURCE_DIR
+#define SLEDGE_SOURCE_DIR "."
+#endif
 
 namespace sledge::bench {
 
@@ -32,6 +35,24 @@ inline std::string fn_path(const std::string& app) {
 inline long env_long(const char* name, long dflt) {
   const char* v = std::getenv(name);
   return v && v[0] ? std::atol(v) : dflt;
+}
+
+// The source revision a bench record was measured on: `git describe
+// --always --dirty` of the tree the bench was built from ("unknown" when
+// git or the checkout is unavailable).
+inline std::string git_rev() {
+  std::string rev;
+  if (FILE* p = ::popen("git -C '" SLEDGE_SOURCE_DIR
+                        "' describe --always --dirty 2>/dev/null",
+                        "r")) {
+    char buf[128];
+    if (std::fgets(buf, sizeof(buf), p)) rev = buf;
+    ::pclose(p);
+  }
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
+    rev.pop_back();
+  }
+  return rev.empty() ? "unknown" : rev;
 }
 
 // A natively compiled mini-C program loaded via dlopen: the "native"

@@ -25,7 +25,7 @@ echo "== listener saturation bench (smoke) =="
 echo "== invoke dataplane bench (smoke: shm p50 must beat copy p50) =="
 (cd build && ./bench/bench_invoke --smoke)
 
-echo "== churn bench (smoke: cold p50 > pooled p50 and snapshot p50) =="
+echo "== churn bench (smoke: cold p50 > pooled p50) =="
 (cd build && ./bench/bench_churn --smoke)
 
 echo "== end-to-end benchmark self-tests =="
@@ -57,8 +57,8 @@ echo "== tsan: invoke dataplane soak (transfer pool + hinted injection) =="
 cmake --build --preset tsan -j "$(nproc)" --target invoke_soak_test
 ctest --preset tsan-invoke -j "$(nproc)"
 
-echo "== tsan: snapshot/COW soak (template registry + stash/adopt races) =="
-cmake --build --preset tsan -j "$(nproc)" --target snapshot_soak_test
-ctest --preset tsan-snapshot -j "$(nproc)"
+echo "== tsan: resource-pool soak (threaded sandbox create/destroy) =="
+cmake --build --preset tsan -j "$(nproc)" --target pool_test
+ctest --preset tsan-pool -j "$(nproc)"
 
 echo "== all checks passed =="

@@ -178,49 +178,6 @@ Result<AotInstanceHandle> AotModule::instantiate(LinearMemory recycled) const {
   return Result<AotInstanceHandle>(std::move(h));
 }
 
-Result<AotInstanceHandle> AotModule::instantiate_seeded(
-    LinearMemory memory, const std::vector<uint8_t>& inst_block) const {
-  if (inst_block.size() != desc_->inst_size) {
-    return Result<AotInstanceHandle>::error("seed inst block size mismatch");
-  }
-  if (module_->memory && !memory.valid()) {
-    return Result<AotInstanceHandle>::error(
-        "seeded instantiation requires a memory");
-  }
-
-  AotInstanceHandle h;
-  h.module_ = this;
-  h.memory_ = std::move(memory);
-
-  h.inst_storage_ = std::make_unique<uint8_t[]>(desc_->inst_size);
-  std::memcpy(h.inst_storage_.get(), inst_block.data(), desc_->inst_size);
-  h.inst_ = reinterpret_cast<AotInst*>(h.inst_storage_.get());
-
-  h.run_ctx_ = std::make_unique<AotInstanceHandle::RunContext>();
-  h.run_ctx_->module = this;
-  h.run_ctx_->memory = &h.memory_;
-
-  // Everything per-instance in the copied header must be re-anchored; the
-  // table pointer is .so-static and the trailing globals are the captured
-  // post-start values, both correct as copied.
-  h.inst_->mem = h.memory_.base();
-  h.inst_->mem_size = h.memory_.size_bytes();
-  h.inst_->env = &kAotEnv;
-  h.inst_->rt = h.run_ctx_.get();
-  h.inst_->call_depth = 0;
-  h.inst_->bnd = nullptr;
-
-  if (options_.strategy == BoundsStrategy::kMpxSim) {
-    h.bounds_dir_ = std::make_unique<AotBnd[]>(kBoundsDirEntries);
-    for (int i = 0; i < kBoundsDirEntries; ++i) {
-      h.bounds_dir_[i] = {0, h.inst_->mem_size};
-    }
-    h.inst_->bnd = h.bounds_dir_.get();
-  }
-
-  return Result<AotInstanceHandle>(std::move(h));
-}
-
 InvokeOutcome AotInstanceHandle::invoke_export(const std::string& name,
                                                const std::vector<Value>& args) {
   const wasm::Export* exp =

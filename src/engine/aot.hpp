@@ -42,9 +42,6 @@ class AotInstanceHandle {
   InvokeOutcome invoke_export(const std::string& name,
                               const std::vector<Value>& args);
 
-  // Raw instance block (header + trailing globals), for snapshot capture.
-  const uint8_t* inst_block() const { return inst_storage_.get(); }
-
   // Shared with the AotEnv callbacks (generated code -> runtime).
   struct RunContext {
     const AotModule* module = nullptr;
@@ -89,17 +86,6 @@ class AotModule {
   // instead of a fresh mapping (the warm-start path).
   Result<AotInstanceHandle> instantiate(
       LinearMemory recycled = LinearMemory()) const;
-
-  // Snapshot path: `memory` is already populated (COW template mapping) and
-  // `inst_block` is a captured post-init instance block (inst_size() bytes).
-  // The block is copied and its per-instance pointers (mem, bnd, env, rt)
-  // re-anchored; the table pointer inside is .so-static and stays valid for
-  // the module's lifetime. awsm_inst_init — and with it globals init, table
-  // fill and data-segment copies — is skipped entirely.
-  Result<AotInstanceHandle> instantiate_seeded(
-      LinearMemory memory, const std::vector<uint8_t>& inst_block) const;
-
-  uint32_t inst_size() const { return desc_->inst_size; }
 
   // Resolved host binding for import `idx` (joint function index space).
   const HostBinding* import_binding(uint32_t idx) const {

@@ -111,39 +111,6 @@ Result<WasmSandbox> WasmModule::instantiate(LinearMemory recycled) const {
   return Result<WasmSandbox>(std::move(sandbox));
 }
 
-InstantiationSeed WasmModule::capture_seed(const WasmSandbox& sandbox) const {
-  InstantiationSeed seed;
-  if (aot_) {
-    const uint8_t* block = sandbox.aot_.inst_block();
-    seed.aot_inst_block.assign(block, block + aot_->inst_size());
-  } else if (sandbox.instance_) {
-    Instance& inst = *sandbox.instance_;
-    seed.globals = inst.globals();
-    seed.table = inst.table();
-  }
-  return seed;
-}
-
-Result<WasmSandbox> WasmModule::instantiate_seeded(
-    LinearMemory memory, const InstantiationSeed& seed) const {
-  WasmSandbox sandbox;
-  sandbox.owner_ = this;
-
-  if (aot_) {
-    Result<AotInstanceHandle> inst =
-        aot_->instantiate_seeded(std::move(memory), seed.aot_inst_block);
-    if (!inst.ok()) return Result<WasmSandbox>::error(inst.error_message());
-    sandbox.aot_ = inst.take();
-  } else {
-    Result<Instance> inst = Instance::instantiate_seeded(
-        *module_, *hosts_, std::move(memory), seed.globals, seed.table);
-    if (!inst.ok()) return Result<WasmSandbox>::error(inst.error_message());
-    sandbox.instance_ = std::make_unique<Instance>(inst.take());
-  }
-  // The start function already ran into the template; deliberately skipped.
-  return Result<WasmSandbox>(std::move(sandbox));
-}
-
 const LinearMemory* WasmSandbox::memory() const {
   if (aot_.valid()) {
     const LinearMemory& m = aot_.memory();

@@ -73,16 +73,6 @@ class WasmSandbox {
   AotInstanceHandle aot_;               // aot tiers
 };
 
-// Post-start mutable instance state captured from a settled sandbox; paired
-// with a memfd image of the linear memory, it lets later instantiations skip
-// globals init, data segments and the start function (the snapshot tier).
-// Per execution tier, only the matching members are populated.
-struct InstantiationSeed {
-  std::vector<Slot> globals;                    // interp tiers
-  std::vector<Instance::TableEntry> table;      // interp tiers
-  std::vector<uint8_t> aot_inst_block;          // aot tiers
-};
-
 class WasmModule {
  public:
   struct Config {
@@ -103,14 +93,6 @@ class WasmModule {
   // `recycled`, when valid, is a pooled linear memory (already reset() to
   // this module's spec) adopted instead of a fresh per-request mapping.
   Result<WasmSandbox> instantiate(LinearMemory recycled = LinearMemory()) const;
-
-  // Snapshot capture/restore. capture_seed() reads the post-start mutable
-  // state out of a settled sandbox; instantiate_seeded() builds a sandbox
-  // from a memory whose contents already hold the post-start image (a COW
-  // template mapping) plus that seed — no data segments, no start function.
-  InstantiationSeed capture_seed(const WasmSandbox& sandbox) const;
-  Result<WasmSandbox> instantiate_seeded(LinearMemory memory,
-                                         const InstantiationSeed& seed) const;
 
   // What a sandbox of this module needs from a resource pool. min/max are 0
   // (and has_memory false) for modules that declare no linear memory.

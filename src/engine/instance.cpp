@@ -88,44 +88,4 @@ Result<Instance> Instance::instantiate(const wasm::Module& module,
   return Result<Instance>(std::move(inst));
 }
 
-Result<Instance> Instance::instantiate_seeded(
-    const wasm::Module& module, const HostRegistry& hosts, LinearMemory memory,
-    const std::vector<Slot>& globals, const std::vector<TableEntry>& table) {
-  Instance inst;
-  inst.module_ = &module;
-
-  for (const wasm::Import& imp : module.imports) {
-    const HostBinding* binding = hosts.lookup(imp.module, imp.field);
-    if (!binding) {
-      return Result<Instance>::error("unresolved import " + imp.module + "." +
-                                     imp.field);
-    }
-    inst.imports_.push_back(binding);
-  }
-
-  if (module.memory && !memory.valid()) {
-    return Result<Instance>::error("seeded instantiation requires a memory");
-  }
-  inst.memory_ = std::move(memory);
-
-  inst.canon_ids_.resize(module.types.size());
-  for (size_t i = 0; i < module.types.size(); ++i) {
-    uint32_t canon = static_cast<uint32_t>(i);
-    for (size_t j = 0; j < i; ++j) {
-      if (module.types[j] == module.types[i]) {
-        canon = static_cast<uint32_t>(j);
-        break;
-      }
-    }
-    inst.canon_ids_[i] = canon;
-  }
-
-  // Post-start mutable state comes straight from the captured seed; data
-  // segments and the start function have already run into the template.
-  inst.globals_ = globals;
-  inst.table_ = table;
-
-  return Result<Instance>(std::move(inst));
-}
-
 }  // namespace sledge::engine

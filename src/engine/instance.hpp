@@ -36,16 +36,6 @@ class Instance {
                                       uint32_t default_max_pages = 4096,
                                       LinearMemory recycled = LinearMemory());
 
-  // Snapshot path: `memory` is already populated (a COW template mapping of
-  // the post-start image), and `globals`/`table` are the captured post-start
-  // mutable state — so globals init, element segments, data segments, and
-  // the start function are all skipped. Imports and canonical type ids are
-  // derived from the module as usual.
-  static Result<Instance> instantiate_seeded(
-      const wasm::Module& module, const HostRegistry& hosts,
-      LinearMemory memory, const std::vector<Slot>& globals,
-      const std::vector<TableEntry>& table);
-
   const wasm::Module& module() const { return *module_; }
   LinearMemory& memory() { return memory_; }
   const LinearMemory& memory() const { return memory_; }

@@ -136,7 +136,6 @@ LinearMemory& LinearMemory::operator=(LinearMemory&& o) noexcept {
     size_bytes_ = std::exchange(o.size_bytes_, 0);
     committed_bytes_ = std::exchange(o.committed_bytes_, 0);
     reserved_bytes_ = std::exchange(o.reserved_bytes_, 0);
-    file_mapped_bytes_ = std::exchange(o.file_mapped_bytes_, 0);
     max_pages_ = o.max_pages_;
     guard_id_ = std::exchange(o.guard_id_, -1);
     bounds_dir_ = std::move(o.bounds_dir_);
@@ -156,7 +155,6 @@ void LinearMemory::release() {
   size_bytes_ = 0;
   committed_bytes_ = 0;
   reserved_bytes_ = 0;
-  file_mapped_bytes_ = 0;
 }
 
 Result<LinearMemory> LinearMemory::create(BoundsStrategy strategy,
@@ -204,21 +202,6 @@ Result<LinearMemory> LinearMemory::create(BoundsStrategy strategy,
 
 bool LinearMemory::recycle() {
   if (!base_) return false;
-  if (file_mapped_bytes_ > 0) {
-    // A private *file* mapping does not zero under MADV_DONTNEED — the next
-    // touch re-reads the template — and memsetting it would dirty a COW
-    // copy of every page. Replace the whole committed prefix with an
-    // anonymous PROT_NONE mapping so pooled reuse keeps its zero-on-reuse
-    // cross-tenant guarantee.
-    void* p = ::mmap(base_, committed_bytes_, PROT_NONE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED,
-                     -1, 0);
-    if (p == MAP_FAILED) return false;
-    file_mapped_bytes_ = 0;
-    size_bytes_ = 0;
-    committed_bytes_ = 0;
-    return true;
-  }
   // While in use the committed prefix is exactly [0, size_bytes_). Zero it
   // in place and keep it committed; only if pagemap is unavailable fall
   // back to discarding the pages (MADV_DONTNEED on private anonymous
@@ -253,60 +236,6 @@ bool LinearMemory::reset(uint32_t min_pages, uint32_t max_pages) {
   return true;
 }
 
-bool LinearMemory::map_template(int fd, uint64_t content_bytes,
-                                uint32_t max_pages) {
-  if (!base_ || size_bytes_ != 0 || fd < 0) return false;
-  if (content_bytes == 0 || content_bytes % wasm::kPageSize != 0) return false;
-  if (max_pages > wasm::kMaxPages) return false;
-  uint64_t ceiling = static_cast<uint64_t>(max_pages) * wasm::kPageSize;
-  if (content_bytes > ceiling || ceiling > reserved_bytes_) return false;
-
-  // Nothing past the image may stay accessible: decommit whatever part of a
-  // kept prefix the file mapping will not cover.
-  if (committed_bytes_ > content_bytes) {
-    if (!set_committed(base_, committed_bytes_, content_bytes)) return false;
-    committed_bytes_ = content_bytes;
-  }
-  void* p = ::mmap(base_, content_bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_FIXED | MAP_NORESERVE, fd, 0);
-  if (p == MAP_FAILED) return false;
-
-  size_bytes_ = content_bytes;
-  committed_bytes_ = content_bytes;
-  file_mapped_bytes_ = content_bytes;
-  max_pages_ = max_pages;
-  if (bounds_dir_) {
-    for (int i = 0; i < kBoundsDirEntries; ++i) {
-      bounds_dir_[i] = {0, size_bytes_};
-    }
-  }
-  return true;
-}
-
-bool LinearMemory::remap_template(int fd) {
-  if (!base_ || file_mapped_bytes_ == 0 || fd < 0) return false;
-  // Restore the pristine template view in place: a fresh private file
-  // mapping discards every COW page the departing tenant dirtied, and any
-  // grown tail above the image returns to the uncommitted reservation.
-  void* p = ::mmap(base_, file_mapped_bytes_, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_FIXED | MAP_NORESERVE, fd, 0);
-  if (p == MAP_FAILED) return false;
-  if (size_bytes_ > file_mapped_bytes_) {
-    void* q = ::mmap(base_ + file_mapped_bytes_,
-                     size_bytes_ - file_mapped_bytes_, PROT_NONE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED,
-                     -1, 0);
-    if (q == MAP_FAILED) return false;
-  }
-  size_bytes_ = file_mapped_bytes_;
-  committed_bytes_ = file_mapped_bytes_;
-  if (bounds_dir_) {
-    for (int i = 0; i < kBoundsDirEntries; ++i) {
-      bounds_dir_[i] = {0, size_bytes_};
-    }
-  }
-  return true;
-}
 
 int32_t LinearMemory::grow(uint32_t delta_pages) {
   uint32_t old_pages = pages();

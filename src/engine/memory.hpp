@@ -113,30 +113,6 @@ class LinearMemory {
   using PagemapFaultHook = bool (*)();
   static void set_pagemap_fault_hook(PagemapFaultHook hook);
 
-  // ---- Snapshot instantiation (COW template path) ----
-  //
-  // map_template() overlays the first content_bytes of the reservation with
-  // a MAP_PRIVATE mapping of fd (a sealed per-module memfd template), so the
-  // initial memory image materializes copy-on-write instead of being zeroed
-  // and rebuilt. Writes stay private to this instance; the template is never
-  // modified. Requires a quiesced region (size_bytes() == 0, i.e. freshly
-  // recycled or created with min_pages = 0); any kept prefix beyond
-  // content_bytes is decommitted. grow() past content_bytes commits zero
-  // pages from the anonymous reservation above the file map.
-  bool map_template(int fd, uint64_t content_bytes, uint32_t max_pages);
-
-  // Restores the pristine template view of an already template-backed
-  // region: every COW page the departing tenant dirtied is discarded and
-  // any grown tail returns to the uncommitted reservation. Lets a release
-  // path pre-pay the mmap so the next template instantiation is
-  // syscall-free. fd must be the same sealed template the region was
-  // mapped from.
-  bool remap_template(int fd);
-
-  // Bytes of the committed prefix currently backed by a template file
-  // mapping (0 when the region is purely anonymous).
-  uint64_t file_mapped_bytes() const { return file_mapped_bytes_; }
-
   uint64_t reserved_bytes() const { return reserved_bytes_; }
 
   // Software check used by the interpreter tiers (AoT code inlines its own
@@ -155,7 +131,6 @@ class LinearMemory {
   uint64_t size_bytes_ = 0;
   uint64_t committed_bytes_ = 0;
   uint64_t reserved_bytes_ = 0;
-  uint64_t file_mapped_bytes_ = 0;
   uint32_t max_pages_ = 0;
   int guard_id_ = -1;
   std::unique_ptr<BoundsDirEntry[]> bounds_dir_;

@@ -587,16 +587,14 @@ Listener::Consume Listener::process_bytes(Conn* conn, const char* data,
                       /*depth=*/0,
                       static_cast<uint32_t>(rc.max_invoke_depth));
     // Top-level requests seed the inter-function dataplane for any
-    // sb_invoke chain they start (per-module override, else config-wide).
-    sb->set_invoke_shm(rt_->module_invoke_shm(mod));
+    // sb_invoke chain they start.
+    sb->set_invoke_shm(rt_->invoke_shm());
 
     {
       std::lock_guard<std::mutex> lock(mod->stats.mu);
       mod->stats.requests++;
       mod->stats.startup.record(sb->startup_cost_ns());
-      (sb->snapshot_backed() ? mod->stats.startup_snapshot
-       : sb->pooled()        ? mod->stats.startup_pooled
-                             : mod->stats.startup_cold)
+      (sb->pooled() ? mod->stats.startup_pooled : mod->stats.startup_cold)
           .record(sb->startup_cost_ns());
     }
 

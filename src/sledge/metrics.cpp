@@ -13,7 +13,6 @@ namespace {
 
 using Totals = Runtime::Totals;
 using Pool = SandboxResourcePool::Counters;
-using Tier = SnapshotRegistry::Counters;  // the snapshot tier's registry
 using Shard = Runtime::ListenerSnapshot;
 using Work = Runtime::WorkerSnapshot;
 using Mod = Runtime::ModuleSnapshot;
@@ -31,10 +30,10 @@ struct ScopeDesc {
   const char* report;  // report line prefix
 };
 constexpr ScopeDesc kScopes[] = {
-    {nullptr, nullptr, "config"},      {nullptr, nullptr, "runtime"},
-    {"totals", nullptr, "totals"},     {"pool", nullptr, "pool"},
-    {"snapshot", nullptr, "snapshot"}, {"listeners", "shard", "listener"},
-    {"workers", "worker", "worker"},   {"modules", "module", "module"},
+    {nullptr, nullptr, "config"},       {nullptr, nullptr, "runtime"},
+    {"totals", nullptr, "totals"},      {"pool", nullptr, "pool"},
+    {"listeners", "shard", "listener"}, {"workers", "worker", "worker"},
+    {"modules", "module", "module"},
 };
 static_assert(std::size(kScopes) == static_cast<size_t>(Scope::kModule) + 1);
 
@@ -44,7 +43,6 @@ constexpr Scope scope_of(const RuntimeConfig*) { return Scope::kConfig; }
 constexpr Scope scope_of(const StatsSnapshot*) { return Scope::kRuntime; }
 constexpr Scope scope_of(const Totals*) { return Scope::kTotals; }
 constexpr Scope scope_of(const Pool*) { return Scope::kPool; }
-constexpr Scope scope_of(const Tier*) { return Scope::kSnapshot; }
 constexpr Scope scope_of(const Shard*) { return Scope::kListener; }
 constexpr Scope scope_of(const Work*) { return Scope::kWorker; }
 constexpr Scope scope_of(const Mod*) { return Scope::kModule; }
@@ -58,7 +56,6 @@ void for_each_instance(const StatsSnapshot& s, const RuntimeConfig& cfg,
   fn(&s, "");
   fn(&s.totals, "");
   fn(&s.pool, "");
-  fn(&s.snapshot_tier, "");
   for (const Shard& l : s.listeners) fn(&l, std::to_string(l.id));
   for (const Work& w : s.workers) fn(&w, std::to_string(w.id));
   for (const Mod& m : s.modules) fn(&m, m.name);
@@ -168,10 +165,6 @@ const std::vector<Metric>& table() {
       row<&Pool::transfer_hits>(kCounter, "transfer_hits", "sledge_pool_transfer_hits_total", "Transfer buffers reused"),
       row<&Pool::transfer_misses>(kCounter, "transfer_misses", "sledge_pool_transfer_misses_total", "Transfer buffers created"),
       row<&Pool::transfer_outstanding>(kGauge, "transfer_outstanding", "sledge_transfer_outstanding", "Transfer-buffer loans not yet returned"),
-      row<&Tier::hits>(kCounter, "hits", "sledge_snapshot_hits_total", "Snapshot-backed starts"),
-      row<&Tier::misses>(kCounter, "misses", "sledge_snapshot_misses_total", "Snapshot starts that fell back to pooled"),
-      row<&Tier::builds>(kCounter, "builds", "sledge_snapshot_builds_total", "Templates built"),
-      row<&Tier::build_failures>(kCounter, "build_failures", "sledge_snapshot_build_failures_total", "Template builds that failed"),
       row<&Shard::accepted>(kCounter, "accepted", "sledge_listener_accepted_total", "Connections accepted by the shard"),
       row<&Shard::accept_errors>(kCounter, "accept_errors", "sledge_listener_accept_errors_total", "Failed accepts on the shard"),
       row<&Shard::open_conns>(kGauge, "open_conns", "sledge_listener_open_conns", "Connections in the shard's epoll set"),
@@ -203,7 +196,6 @@ const std::vector<Metric>& table() {
       row<&Mod::startup>(kSummary, "startup", "sledge_startup_seconds", "Sandbox instantiation"),
       row<&Mod::startup_pooled>(kSummary, "startup_pooled", "sledge_startup_pooled_seconds", "Instantiation, all resources pooled"),
       row<&Mod::startup_cold>(kSummary, "startup_cold", "sledge_startup_cold_seconds", "Instantiation with a fresh allocation"),
-      row<&Mod::startup_snapshot>(kSummary, "startup_snapshot", "sledge_startup_snapshot_seconds", "Instantiation from a template"),
       row<&Mod::exec_cpu>(kSummary, "exec_cpu", "sledge_exec_cpu_seconds", "CPU across slices"),
       row<&Mod::io_wait>(kSummary, "io_wait", "sledge_io_wait_seconds", "Blocked on I/O wake conditions"),
       row<&Mod::response_write>(kSummary, "response_write", "sledge_response_write_seconds", "Completion to last byte written"),

@@ -17,7 +17,7 @@ using StatsSnapshot = Runtime::StatsSnapshot;
 // The snapshot struct a row reads; kListener, kWorker and kModule have one
 // instance per shard, worker or module.
 enum class Scope : uint8_t {
-  kConfig, kRuntime, kTotals, kPool, kSnapshot, kListener, kWorker, kModule,
+  kConfig, kRuntime, kTotals, kPool, kListener, kWorker, kModule,
 };
 // kSummary rows are latency histograms; kInfo rows are strings, rendered in
 // Prometheus as the labels of the one `sledge_config_info` gauge.

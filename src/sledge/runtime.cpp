@@ -32,13 +32,6 @@ constexpr uint32_t kInvokeLocalitySlack = 2;
 
 }  // namespace
 
-LoadedModule::~LoadedModule() {
-  // Drop the snapshot template with the module: a reloaded module must
-  // rebuild from its own post-start image, never instantiate from a stale
-  // one.
-  SnapshotRegistry::instance().invalidate(&module);
-}
-
 // ---- Runtime ----------------------------------------------------------
 
 Runtime::Runtime(RuntimeConfig config)
@@ -316,8 +309,7 @@ void Runtime::configure_invoke_child(Sandbox* parent, LoadedModule* mod,
   child->set_io_config(this, static_cast<uint32_t>(config_.max_sandbox_fds),
                        parent->invoke_depth() + 1,
                        static_cast<uint32_t>(config_.max_invoke_depth));
-  // Grandchildren follow the child module's dataplane (override or config).
-  child->set_invoke_shm(module_invoke_shm(mod));
+  child->set_invoke_shm(invoke_shm());
   child->mark_invoke_child();
 }
 
@@ -341,10 +333,7 @@ void Runtime::place_invoke_child(Sandbox* parent, LoadedModule* mod,
     std::lock_guard<std::mutex> lock(mod->stats.mu);
     mod->stats.requests++;
     mod->stats.startup.record(child->startup_cost_ns());
-    (child->snapshot_backed()
-         ? mod->stats.startup_snapshot
-         : child->pooled() ? mod->stats.startup_pooled
-                           : mod->stats.startup_cold)
+    (child->pooled() ? mod->stats.startup_pooled : mod->stats.startup_cold)
         .record(child->startup_cost_ns());
     if (hint >= 0) ++mod->stats.invoke_local;
     if (zerocopy) ++mod->stats.invoke_zerocopy;
@@ -545,7 +534,6 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
   s.inflight = inflight();
   s.totals = totals();
   s.pool = SandboxResourcePool::instance().counters();
-  s.snapshot_tier = SnapshotRegistry::instance().counters();
   // After stop() the listeners and workers are gone; their last values stay.
   s.listeners = listeners_.empty() ? stopped_listeners_ : listener_snapshots();
   s.workers = workers_.empty() ? stopped_workers_ : worker_snapshots();
@@ -571,7 +559,6 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
     ms.startup = mod->stats.startup.summary();
     ms.startup_pooled = mod->stats.startup_pooled.summary();
     ms.startup_cold = mod->stats.startup_cold.summary();
-    ms.startup_snapshot = mod->stats.startup_snapshot.summary();
     ms.queue_wait = mod->stats.queue_wait.summary();
     ms.exec_cpu = mod->stats.exec_cpu.summary();
     ms.response_write = mod->stats.response_write.summary();

@@ -25,7 +25,6 @@
 #include "sledge/resource_pool.hpp"
 #include "sledge/sandbox.hpp"
 #include "sledge/scheduler_policy.hpp"
-#include "sledge/snapshot.hpp"
 
 namespace sledge::runtime {
 
@@ -41,12 +40,6 @@ class Listener;
 //           child's response comes back in the same buffer (CWASI-style
 //           zero-copy for co-located function-to-function calls).
 enum class InvokeDataplane : uint8_t { kCopy, kShm };
-
-// Per-module dataplane selection: kInherit uses the runtime-wide
-// RuntimeConfig::invoke_dataplane; kCopy/kShm pin it for chains started by
-// sandboxes of that module (useful to quarantine one module onto the copy
-// path, or to A/B the dataplanes inside a single runtime).
-enum class InvokeDataplaneOverride : uint8_t { kInherit, kCopy, kShm };
 
 const char* to_string(InvokeDataplane d);
 
@@ -70,9 +63,7 @@ struct RuntimeConfig {
   engine::WasmModule::Config engine;  // default tier/bounds for modules
   // Startup tier for sandbox instantiation: cold = fresh memory and stack
   // per request, returned to the OS at teardown (the cold-start ablation),
-  // pooled = recycled zeroed memory and stack off the SandboxResourcePool,
-  // snapshot = COW memfd template of the post-start image (falls back to
-  // pooled when no template builds).
+  // pooled = recycled zeroed memory and stack off the SandboxResourcePool.
   InstantiationMode instantiation = InstantiationMode::kPooled;
 
   // ---- Deadline enforcement & overload defaults (0 = unlimited) ----
@@ -122,8 +113,6 @@ struct ModuleLimits {
   // Weighted fair share of the admission window (admission = slack only);
   // 0 inherits the default weight of 1.
   uint32_t tenant_weight = 0;
-  // Inter-function dataplane for chains this module's sandboxes start.
-  InvokeDataplaneOverride invoke_dataplane = InvokeDataplaneOverride::kInherit;
 };
 
 struct ModuleStats {
@@ -142,12 +131,10 @@ struct ModuleStats {
   uint64_t invoke_zerocopy = 0;
   LatencyHistogram end_to_end;  // sandbox creation -> completion
   LatencyHistogram startup;     // sandbox allocation cost (all requests)
-  // Startup-tier split of `startup`: snapshot-backed starts (COW template
-  // mapping), warm starts (every resource off a pool free list), and starts
-  // that paid at least one fresh allocation.
+  // Startup-tier split of `startup`: warm starts (every resource off a
+  // pool free list) and starts that paid at least one fresh allocation.
   LatencyHistogram startup_pooled;
   LatencyHistogram startup_cold;
-  LatencyHistogram startup_snapshot;
   // Phase breakdown (paper §5's latency splits, live instead of post-hoc):
   // admission->first-dispatch wait, CPU consumed across slices, and
   // response flush (completion -> last byte handed to the kernel).
@@ -173,10 +160,6 @@ struct LoadedModule {
   // In-flight slots this module holds (admitted, not yet retired) — the
   // fair-share accounting input. Touched by listener and workers.
   std::atomic<int64_t> inflight{0};
-
-  // Out of line: drops the module's snapshot template on unload so a
-  // reloaded module can never instantiate from a stale image.
-  ~LoadedModule();
 };
 
 class Runtime : public InvokeBroker {
@@ -217,17 +200,8 @@ class Runtime : public InvokeBroker {
   Status update_module_limits(const std::string& name,
                               const ModuleLimits& limits);
 
-  // Resolved dataplane for chains started by `mod`'s sandboxes: the
-  // per-module override when set, the runtime-wide config otherwise.
-  bool module_invoke_shm(const LoadedModule* mod) const {
-    switch (mod->limits.invoke_dataplane) {
-      case InvokeDataplaneOverride::kCopy:
-        return false;
-      case InvokeDataplaneOverride::kShm:
-        return true;
-      case InvokeDataplaneOverride::kInherit:
-        break;
-    }
+  // True when sb_invoke payloads ride pooled transfer buffers.
+  bool invoke_shm() const {
     return config_.invoke_dataplane == InvokeDataplane::kShm;
   }
 
@@ -377,7 +351,6 @@ class Runtime : public InvokeBroker {
     LatencyHistogram::Summary startup;
     LatencyHistogram::Summary startup_pooled;
     LatencyHistogram::Summary startup_cold;
-    LatencyHistogram::Summary startup_snapshot;
     LatencyHistogram::Summary queue_wait;
     LatencyHistogram::Summary exec_cpu;
     LatencyHistogram::Summary response_write;
@@ -406,9 +379,8 @@ class Runtime : public InvokeBroker {
     uint64_t uptime_ns = 0;
     int64_t inflight = 0;
     Totals totals;
-    // Process-wide resource-pool and snapshot-registry counters.
+    // Process-wide resource-pool counters.
     SandboxResourcePool::Counters pool;
-    SnapshotRegistry::Counters snapshot_tier;
     std::vector<ListenerSnapshot> listeners;
     std::vector<WorkerSnapshot> workers;
     std::vector<ModuleSnapshot> modules;

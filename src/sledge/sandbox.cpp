@@ -14,7 +14,6 @@
 
 #include "common/log.hpp"
 #include "engine/trap.hpp"
-#include "sledge/snapshot.hpp"
 
 using sledge::engine::SbIoError;
 
@@ -71,7 +70,6 @@ const char* to_string(InstantiationMode m) {
   switch (m) {
     case InstantiationMode::kCold: return "cold";
     case InstantiationMode::kPooled: return "pooled";
-    case InstantiationMode::kSnapshot: return "snapshot";
   }
   return "?";
 }
@@ -110,76 +108,32 @@ std::unique_ptr<Sandbox> Sandbox::create(const engine::WasmModule* module,
 
   engine::WasmModule::MemorySpec spec = module->memory_spec();
   bool memory_pooled = !spec.has_memory;
-  bool snapshot_backed = false;
   engine::LinearMemory memory;
 
-  // Snapshot tier: map the module's sealed memfd template MAP_PRIVATE over
-  // a pooled (uncommitted) reservation — the post-start image materializes
-  // copy-on-write, and globals/data/start are all skipped. Any failure
-  // degrades to the pooled tier below.
-  if (mode == InstantiationMode::kSnapshot && spec.has_memory) {
-    const SnapshotTemplate* tmpl =
-        SnapshotRegistry::instance().get_or_build(module);
-    if (tmpl) {
-      // Fast path: adopt a region a departing tenant parked on the template
-      // (pristine COW view already remapped at release time) — zero
-      // syscalls here. Otherwise map the template over a pooled
-      // reservation.
-      memory = SnapshotRegistry::instance().adopt_memory(module);
-      bool mapped = memory.valid();
-      if (mapped) {
-        memory_pooled = true;
-      } else {
-        memory = pool.acquire_memory(spec.strategy, 0, tmpl->max_pages,
-                                     &memory_pooled);
-        mapped = memory.valid() &&
-                 memory.map_template(tmpl->fd, tmpl->content_bytes,
-                                     tmpl->max_pages);
-      }
-      if (mapped) {
-        Result<engine::WasmSandbox> seeded =
-            module->instantiate_seeded(std::move(memory), tmpl->seed);
-        if (seeded.ok()) {
-          sb->wasm_ = seeded.take();
-          snapshot_backed = true;
-          SnapshotRegistry::instance().note_hit();
-        }
-      } else if (memory.valid()) {
-        pool.release_memory(std::move(memory));
-      }
+  // Linear memory from the pool (warm regions are pre-zeroed and keep
+  // their reservation + guard registration), then the instance on top of
+  // it (cheap: the module is already linked/loaded). The cold tier maps
+  // a fresh reservation per request instead — the paper's cold start.
+  if (spec.has_memory) {
+    if (mode == InstantiationMode::kCold) {
+      auto fresh = engine::LinearMemory::create(spec.strategy,
+                                                spec.min_pages,
+                                                spec.max_pages);
+      if (!fresh.ok()) return nullptr;
+      memory = fresh.take();
+    } else {
+      memory = pool.acquire_memory(spec.strategy, spec.min_pages,
+                                   spec.max_pages, &memory_pooled);
+      if (!memory.valid()) return nullptr;
     }
   }
-
-  if (!snapshot_backed) {
-    if (mode == InstantiationMode::kSnapshot) {
-      SnapshotRegistry::instance().note_miss();
-    }
-    // Linear memory from the pool (warm regions are pre-zeroed and keep
-    // their reservation + guard registration), then the instance on top of
-    // it (cheap: the module is already linked/loaded). The cold tier maps
-    // a fresh reservation per request instead — the paper's cold start.
-    if (spec.has_memory) {
-      if (mode == InstantiationMode::kCold) {
-        auto fresh = engine::LinearMemory::create(spec.strategy,
-                                                  spec.min_pages,
-                                                  spec.max_pages);
-        if (!fresh.ok()) return nullptr;
-        memory = fresh.take();
-      } else {
-        memory = pool.acquire_memory(spec.strategy, spec.min_pages,
-                                     spec.max_pages, &memory_pooled);
-        if (!memory.valid()) return nullptr;
-      }
-    }
-    Result<engine::WasmSandbox> wasm = module->instantiate(std::move(memory));
-    if (!wasm.ok()) {
-      SLEDGE_LOG_ERROR("sandbox instantiate failed: %s",
-                       wasm.error_message().c_str());
-      return nullptr;
-    }
-    sb->wasm_ = wasm.take();
+  Result<engine::WasmSandbox> wasm = module->instantiate(std::move(memory));
+  if (!wasm.ok()) {
+    SLEDGE_LOG_ERROR("sandbox instantiate failed: %s",
+                     wasm.error_message().c_str());
+    return nullptr;
   }
-  sb->snapshot_backed_ = snapshot_backed;
+  sb->wasm_ = wasm.take();
 
   // Guarded execution stack, outside linear memory (Wasm's split-stack
   // design: the C stack is unreachable from sandboxed loads/stores).
@@ -218,14 +172,7 @@ Sandbox::~Sandbox() {
   // memory is zeroed on the way in (cross-tenant isolation), the stack
   // keeps its mapping and guard registration.
   SandboxResourcePool& pool = SandboxResourcePool::instance();
-  // Snapshot-backed regions go back to the template's spare list with the
-  // pristine COW view pre-remapped, so the next snapshot create adopts
-  // them syscall-free. Falls through to the pool when the template was
-  // invalidated or the spare cache is full.
-  if (!(snapshot_backed_ &&
-        SnapshotRegistry::instance().stash_memory(module_, &memory))) {
-    pool.release_memory(std::move(memory));
-  }
+  pool.release_memory(std::move(memory));
   if (stack_) pool.release_stack(stack_);
 }
 

@@ -74,11 +74,8 @@ const char* to_string(WakeKind k);
 //               function); both go back to the OS at teardown. The
 //               paper's cold start; never touches the resource pool.
 //   kPooled   — recycled zeroed memory off the SandboxResourcePool, full
-//               instantiation on top (the PR 2 warm path).
-//   kSnapshot — memfd template of the post-start image mapped MAP_PRIVATE
-//               (copy-on-write); globals/data/start are all skipped. Falls
-//               back to kPooled when no template can be built.
-enum class InstantiationMode : uint8_t { kCold, kPooled, kSnapshot };
+//               instantiation on top (the paper's warm start).
+enum class InstantiationMode : uint8_t { kCold, kPooled };
 
 const char* to_string(InstantiationMode m);
 
@@ -380,10 +377,6 @@ class Sandbox {
   // True when every pooled resource (memory if the module has one, stack)
   // came off a free list — the warm-start path, no allocation syscalls.
   bool pooled() const { return pooled_; }
-  // True when the linear memory is a COW mapping of the module's snapshot
-  // template (the snapshot startup tier; implies the start function was
-  // skipped). Drives the startup_snapshot histogram split.
-  bool snapshot_backed() const { return snapshot_backed_; }
 
   Context* context() { return &stack_->ctx; }
 
@@ -424,7 +417,6 @@ class Sandbox {
   ExecStack* stack_ = nullptr;  // pooled: guarded stack + its Context
   bool pooled_ = false;
   bool cold_ = false;  // kCold: memory and stack bypass the pool
-  bool snapshot_backed_ = false;
   Context* scheduler_ctx_ = nullptr;  // valid while running
   uint64_t wake_at_ns_ = 0;
   WakeKind wake_kind_ = WakeKind::kNone;

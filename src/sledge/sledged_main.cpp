@@ -12,7 +12,7 @@
 //   "dispatcher": "work_stealing",  // | "global_edf" | "sharded_module"
 //   "scheduler": "round_robin",  // | "fifo" (cooperative) | "edf"
 //   "admission": "depth",        // | "slack" (expected-slack + fair shares)
-//   "instantiation": "pooled",   // | "cold" (no pool) | "snapshot" (COW)
+//   "instantiation": "pooled",   // | "cold" (fresh memory and stack)
 //   "tier": "aot",               // | "aot_o1" | "interp_fast" | "interp"
 //   "bounds": "vm_guard",        // | "software" | "mpx_sim" | "none"
 //   "budget_us": 0,          // per-request CPU budget; over-budget -> 504
@@ -28,8 +28,7 @@
 //     {"name": "fib", "wasm": "path/to/fib.wasm"},
 //     {"name": "ekf", "minicc": "src/apps/wasm_src/ekf.mc",
 //      "budget_us": 50000, "deadline_us": 200000,   // per-module overrides
-//      "tenant_weight": 2,   // fair-share weight (admission = "slack")
-//      "invoke_dataplane": "copy"}  // | "shm" (unset = inherit global)
+//      "tenant_weight": 2}   // fair-share weight (admission = "slack")
 //   ]
 // }
 //
@@ -156,8 +155,6 @@ Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
   const std::string& inst = doc["instantiation"].as_string();
   if (inst == "cold") {
     cfg.instantiation = runtime::InstantiationMode::kCold;
-  } else if (inst == "snapshot") {
-    cfg.instantiation = runtime::InstantiationMode::kSnapshot;
   } else if (inst.empty() || inst == "pooled") {
     cfg.instantiation = runtime::InstantiationMode::kPooled;
   } else {
@@ -226,8 +223,7 @@ int main(int argc, char** argv) {
     }
     Status keys = check_keys(module,
                              {"name", "wasm", "minicc", "budget_us",
-                              "deadline_us", "tenant_weight",
-                              "invoke_dataplane"},
+                              "deadline_us", "tenant_weight"},
                              "module " + name + ": ");
     if (!keys.is_ok()) {
       std::fprintf(stderr, "%s\n", keys.message().c_str());
@@ -268,16 +264,6 @@ int main(int argc, char** argv) {
         static_cast<uint64_t>(module["deadline_us"].as_int(0)) * 1000;
     limits.tenant_weight =
         static_cast<uint32_t>(module["tenant_weight"].as_int(0));
-    const std::string& mod_dataplane = module["invoke_dataplane"].as_string();
-    if (mod_dataplane == "copy") {
-      limits.invoke_dataplane = runtime::InvokeDataplaneOverride::kCopy;
-    } else if (mod_dataplane == "shm") {
-      limits.invoke_dataplane = runtime::InvokeDataplaneOverride::kShm;
-    } else if (!mod_dataplane.empty()) {
-      std::fprintf(stderr, "module %s: unknown invoke_dataplane: %s\n",
-                   name.c_str(), mod_dataplane.c_str());
-      return 1;
-    }
     Status s = rt.register_module(name, wasm_bytes, limits);
     if (!s.is_ok()) {
       std::fprintf(stderr, "%s\n", s.message().c_str());

@@ -221,30 +221,21 @@ TEST(InvokeDataplaneTest, DifferentialCopyVsShmAcrossDispatchers) {
   }
 }
 
-// Per-module dataplane override: a module whose limits pin
-// invoke_dataplane rides that plane regardless of the runtime-wide
-// default, and the responses stay byte-identical either way. The
-// invoke_zerocopy counter lands on the callee module, so it is the
-// observable for which plane the caller's invokes actually used.
-TEST(InvokeDataplaneTest, PerModuleDataplaneOverride) {
+// The runtime-wide dataplane picks the plane every chain rides, and the
+// responses stay byte-identical either way. The invoke_zerocopy counter
+// lands on the callee module, so it is the observable for which plane the
+// caller's invokes actually used.
+TEST(InvokeDataplaneTest, RuntimeDataplaneSelectsPlane) {
   const auto payloads = seeded_payloads(0x0E44, 4);
-  struct Case {
-    InvokeDataplane global;
-    InvokeDataplaneOverride override_;
-    bool expect_zerocopy;
-  };
-  for (const Case& c : {Case{InvokeDataplane::kShm,
-                             InvokeDataplaneOverride::kCopy, false},
-                        Case{InvokeDataplane::kCopy,
-                             InvokeDataplaneOverride::kShm, true}}) {
+  std::vector<std::vector<uint8_t>> bodies[2];
+  for (InvokeDataplane dataplane :
+       {InvokeDataplane::kCopy, InvokeDataplane::kShm}) {
+    SCOPED_TRACE(to_string(dataplane));
     RuntimeConfig cfg;
     cfg.workers = 2;
-    cfg.invoke_dataplane = c.global;
+    cfg.invoke_dataplane = dataplane;
     Runtime rt(cfg);
-    ModuleLimits limits;
-    limits.invoke_dataplane = c.override_;
-    ASSERT_TRUE(
-        rt.register_module("chain", compile_app("chain"), limits).is_ok());
+    ASSERT_TRUE(rt.register_module("chain", compile_app("chain")).is_ok());
     ASSERT_TRUE(rt.register_module("echo", compile_app("echo")).is_ok());
     ASSERT_TRUE(rt.start().is_ok());
     for (const auto& payload : payloads) {
@@ -254,19 +245,22 @@ TEST(InvokeDataplaneTest, PerModuleDataplaneOverride) {
       ASSERT_TRUE(resp.ok()) << resp.error_message();
       EXPECT_EQ(status, 200);
       EXPECT_EQ(*resp, payload);
+      bodies[static_cast<int>(dataplane)].push_back(*resp);
     }
     auto doc = json::parse(rt.stats_json());
     ASSERT_TRUE(doc.ok()) << doc.error_message();
     uint64_t zerocopy = static_cast<uint64_t>(
         (*doc)["modules"]["echo"]["invoke_zerocopy"].as_int(0));
-    if (c.expect_zerocopy) {
-      EXPECT_GT(zerocopy, 0u) << "shm override ignored in copy runtime";
+    if (dataplane == InvokeDataplane::kShm) {
+      EXPECT_GT(zerocopy, 0u) << "shm runtime never used a transfer buffer";
     } else {
-      EXPECT_EQ(zerocopy, 0u) << "copy override ignored in shm runtime";
+      EXPECT_EQ(zerocopy, 0u) << "copy runtime used a transfer buffer";
     }
     rt.stop();
-    expect_no_outstanding_transfers("after override run");
+    expect_no_outstanding_transfers("after dataplane run");
   }
+  EXPECT_EQ(bodies[static_cast<int>(InvokeDataplane::kCopy)],
+            bodies[static_cast<int>(InvokeDataplane::kShm)]);
 }
 
 // sb_invoke_stream, HTTP-channel path: /chain3 -> relay -> echo, each hop a

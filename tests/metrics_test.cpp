@@ -40,7 +40,6 @@ StatsSnapshot make_snapshot(const std::vector<std::string>& modules) {
   s.totals.shed_deadline = 2;
   s.totals.accepted = 7;
   s.pool.transfer_outstanding = 1;
-  s.snapshot_tier.builds = 1;
   for (int i = 0; i < 2; ++i) {
     Runtime::ListenerSnapshot l;
     l.id = i;
@@ -142,7 +141,6 @@ std::vector<json::Value> json_values(const json::Value& doc, const Metric& m,
     case Scope::kRuntime: return {doc[m.key]};
     case Scope::kTotals: return {doc["totals"][m.key]};
     case Scope::kPool: return {doc["pool"][m.key]};
-    case Scope::kSnapshot: return {doc["snapshot"][m.key]};
     case Scope::kListener: return members("listeners");
     case Scope::kWorker: return members("workers");
     case Scope::kModule: {
@@ -268,10 +266,6 @@ TEST(MetricsTableTest, KeepsEveryPrometheusFamily) {
       {"sledge_pool_released_total", "counter"},
       {"sledge_pool_transfer_hits_total", "counter"},
       {"sledge_pool_transfer_misses_total", "counter"},
-      {"sledge_snapshot_hits_total", "counter"},
-      {"sledge_snapshot_misses_total", "counter"},
-      {"sledge_snapshot_builds_total", "counter"},
-      {"sledge_snapshot_build_failures_total", "counter"},
       {"sledge_transfer_outstanding", "gauge"},
       {"sledge_listener_accepted_total", "counter"},
       {"sledge_listener_accept_errors_total", "counter"},
@@ -290,7 +284,6 @@ TEST(MetricsTableTest, KeepsEveryPrometheusFamily) {
       {"sledge_startup_seconds", "summary"},
       {"sledge_startup_pooled_seconds", "summary"},
       {"sledge_startup_cold_seconds", "summary"},
-      {"sledge_startup_snapshot_seconds", "summary"},
       {"sledge_exec_cpu_seconds", "summary"},
       {"sledge_io_wait_seconds", "summary"},
       {"sledge_response_write_seconds", "summary"},
@@ -336,8 +329,8 @@ TEST(MetricsTableTest, LongModuleNameKeepsEverySurfaceWhole) {
     EXPECT_TRUE(well_formed(line)) << line;
     series += line.find("{module=\"" + name + "\"") != std::string::npos;
   }
-  // 13 counters/gauges + 10 summaries x 5 series each.
-  EXPECT_EQ(series, 13 + 10 * 5);
+  // 13 counters/gauges + 9 summaries x 5 series each.
+  EXPECT_EQ(series, 13 + 9 * 5);
   EXPECT_NE(text.find("sledge_failures_total{module=\"" + name + "\"} 0\n"
                       "sledge_failures_total{module=\"ping\"} 0\n"
                       "# HELP sledge_kills_total "),

@@ -1,20 +1,25 @@
 // SandboxResourcePool: warm reuse of linear memories and execution stacks
 // with the cross-tenant isolation guarantee (recycled regions read as
 // zeros, via in-place zeroing and via the madvise+mprotect fallback),
-// free-list caps, the reclaim watermark, and the engine-level
-// recycled-instantiate path. Sanitizer-safe: interpreter tiers only, no
+// free-list caps, the reclaim watermark, the engine-level
+// recycled-instantiate path, and a threaded Sandbox::create/destroy soak
+// over the shared free lists. Sanitizer-safe: interpreter tiers only, no
 // sandbox dispatch; the only fault taken is one vm_guard trap, caught by
 // the engine's own SIGSEGV handler.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <csetjmp>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "engine/memory.hpp"
 #include "engine/trap.hpp"
 #include "minicc/minicc.hpp"
 #include "sledge/resource_pool.hpp"
+#include "sledge/sandbox.hpp"
 #include "test_util.hpp"
 
 namespace sledge::runtime {
@@ -377,6 +382,52 @@ int main() { int old = state[0]; state[0] = 1234; return old; }
       }
     }
   }
+}
+
+// Pooled sandboxes created and destroyed on many threads at once (never
+// dispatched, so no SIGALRM): TSan watches the memory and stack free lists,
+// and the recycle path runs on every destruction. With no per-thread cache,
+// every acquire and release goes through the global lists, so regions
+// migrate between threads.
+TEST_F(PoolTest, ConcurrentCreateDestroyThroughPool) {
+  auto wasm = minicc::compile_to_wasm(R"(
+int state[8];
+int main() { state[0] = state[0] + 1; return state[0]; }
+)");
+  ASSERT_TRUE(wasm.ok()) << wasm.error_message();
+  engine::WasmModule::Config cfg;
+  cfg.tier = engine::Tier::kInterpFast;
+  cfg.strategy = BoundsStrategy::kVmGuard;
+  auto mod = engine::WasmModule::load(*wasm, cfg);
+  ASSERT_TRUE(mod.ok()) << mod.error_message();
+
+  SandboxResourcePool& pool = SandboxResourcePool::instance();
+  SandboxResourcePool::Config pool_cfg;
+  pool_cfg.per_thread_cap = 0;
+  pool.configure(pool_cfg);
+
+  constexpr int kThreads = 6;
+  constexpr int kItersPerThread = 80;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&]() {
+      for (int i = 0; i < kItersPerThread; ++i) {
+        auto sb = Sandbox::create(&mod.value(), {}, -1, false,
+                                  InstantiationMode::kPooled);
+        if (!sb) failures.fetch_add(1, std::memory_order_relaxed);
+        // Destructor releases memory+stack back to the pool: the next
+        // iteration (any thread) may adopt the recycled region.
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  SandboxResourcePool::Counters c = pool.counters();
+  EXPECT_EQ(c.memory_hits + c.memory_misses,
+            static_cast<uint64_t>(kThreads * kItersPerThread));
+  EXPECT_GT(c.memory_hits, 0u) << "no region was ever recycled";
 }
 
 }  // namespace
