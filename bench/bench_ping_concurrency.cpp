@@ -1,18 +1,16 @@
 // Figure 6: throughput and average/p99 latency of a ping function with
 // varying client concurrency — Sledge vs the procfaas (Nuclio-model)
-// baseline — plus the listener-shard saturation bench (BENCH_listener.json):
+// baseline — plus the front-door saturation bench (BENCH_listener.json):
 // an epoll client holding thousands of concurrent keep-alive connections
-// against num_listeners=1 vs num_listeners=4, the canonical workload for the
-// SO_REUSEPORT front-door split.
+// against the workers' shared ready set.
 //
 // Request count per point: SLEDGE_BENCH_REQS (default 1000; the paper used
 // 10k). Saturation knobs: SLEDGE_BENCH_SAT_CONNS (default 10000, clamped to
 // the fd budget — client and server share one process fd table, so each
 // connection costs two fds), SLEDGE_BENCH_SAT_MS (measure window, default
-// 5000). `--smoke` runs a seconds-long miniature of both sections for CI.
-// Absolute numbers reflect this host; on a single-core machine the shard
-// ratio is pinned near 1x (all shards multiplex one core), so the JSON
-// records host_cores and the ≥2x scaling expectation applies at >=4 cores.
+// 5000), SLEDGE_BENCH_SAT_PENDING (admission cap, default 1024). `--smoke`
+// runs a seconds-long miniature of both sections for CI. The JSON records
+// the source rev, host_cores and full/smoke mode next to the numbers.
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -45,7 +43,6 @@ struct SatConn {
 };
 
 struct SatResult {
-  int shards = 0;
   int conns = 0;
   uint64_t responses = 0;  // HTTP 200 within the measured window
   uint64_t shed = 0;       // non-200 (admission 503s under saturation)
@@ -76,7 +73,7 @@ bool consume_response(std::string* buf, int* status) {
 
 // Caps the connection count to what the shared fd table can hold: client
 // end + server end both live in this process, plus headroom for the
-// runtime's own fds (shards, eventfds, modules, reserve fds).
+// runtime's own fds (epoll sets, eventfds, modules, the reserve fd).
 int clamp_conns(int want) {
   rlimit rl{};
   if (::getrlimit(RLIMIT_NOFILE, &rl) != 0) return want;
@@ -85,9 +82,8 @@ int clamp_conns(int want) {
   return want < budget ? want : static_cast<int>(budget);
 }
 
-SatResult saturate(uint16_t port, int shards, int conns, int window_ms) {
+SatResult saturate(uint16_t port, int conns, int window_ms) {
   SatResult res;
-  res.shards = shards;
   res.conns = conns;
 
   int ep = ::epoll_create1(EPOLL_CLOEXEC);
@@ -234,16 +230,13 @@ SatResult saturate(uint16_t port, int shards, int conns, int window_ms) {
   return res;
 }
 
-std::unique_ptr<runtime::Runtime> start_sharded(int num_listeners,
-                                                int max_pending) {
+std::unique_ptr<runtime::Runtime> start_front_door(int max_pending) {
   runtime::RuntimeConfig cfg;
   cfg.workers = 3;
-  cfg.num_listeners = num_listeners;
   // Saturation guard: at 10k depth-1 connections the admitted-sandbox plane
   // must stay bounded (each in-flight sandbox pins two VM guard regions —
-  // linear memory + stack — against a 4096-slot registry), so the overflow
-  // is shed with fast 503s — the listener's own writev path, which is
-  // exactly what this bench measures.
+  // linear memory + stack — against a 4096-slot registry), so any overflow
+  // is shed with fast 503s on the front door's own writer path.
   cfg.max_pending = max_pending;
   auto wasm = apps::app_wasm("ping");
   if (!wasm.ok()) {
@@ -301,9 +294,9 @@ int main(int argc, char** argv) {
               "markedly lower avg/p99 latency across all concurrency "
               "levels.\n");
 
-  // ---- Section 2: listener-shard saturation (BENCH_listener.json) ----
-  print_header("Listener front-door saturation: 1 vs 4 SO_REUSEPORT shards",
-               "front-door scaling");
+  // ---- Section 2: front-door saturation (BENCH_listener.json) ----
+  print_header("Front-door saturation: thousands of keep-alive connections",
+               "front-door saturation");
 
   const int host_cores = static_cast<int>(std::thread::hardware_concurrency());
   int want_conns = static_cast<int>(
@@ -319,32 +312,17 @@ int main(int argc, char** argv) {
                 want_conns, sat_conns);
   }
 
-  std::printf("%-7s | %6s | %12s %10s %10s | %9s %9s %7s\n", "shards",
-              "conns", "ok r/s", "p50 ms", "p99 ms", "ok", "shed",
-              "errors");
-  std::vector<SatResult> sat;
-  for (int shards : {1, 4}) {
-    auto rt = start_sharded(shards, max_pending);
-    if (!rt) return 1;
-    SatResult r = saturate(rt->bound_port(), shards, sat_conns, window_ms);
-    rt->stop();
-    std::printf("%-7d | %6d | %12.0f %10.3f %10.3f | %9llu %9llu %7llu\n",
-                r.shards, r.conns, r.throughput_rps, r.p50_ms, r.p99_ms,
-                static_cast<unsigned long long>(r.responses),
-                static_cast<unsigned long long>(r.shed),
-                static_cast<unsigned long long>(r.errors));
-    sat.push_back(r);
-  }
-  double ratio = sat[0].throughput_rps > 0
-                     ? sat[1].throughput_rps / sat[0].throughput_rps
-                     : 0;
-  std::printf("\n4-shard / 1-shard throughput: %.2fx on %d core(s)", ratio,
-              host_cores);
-  if (host_cores < 4) {
-    std::printf(" — shard scaling needs >=4 cores; on this host the shards "
-                "multiplex one accept path and ~1x is expected");
-  }
-  std::printf("\n");
+  auto rt = start_front_door(max_pending);
+  if (!rt) return 1;
+  const SatResult r = saturate(rt->bound_port(), sat_conns, window_ms);
+  rt->stop();
+  std::printf("%6s | %12s %10s %10s | %9s %9s %7s\n", "conns", "ok r/s",
+              "p50 ms", "p99 ms", "ok", "shed", "errors");
+  std::printf("%6d | %12.0f %10.3f %10.3f | %9llu %9llu %7llu\n", r.conns,
+              r.throughput_rps, r.p50_ms, r.p99_ms,
+              static_cast<unsigned long long>(r.responses),
+              static_cast<unsigned long long>(r.shed),
+              static_cast<unsigned long long>(r.errors));
 
   const char* out_path = std::getenv("SLEDGE_BENCH_OUT");
   if (!out_path || !out_path[0]) out_path = "BENCH_listener.json";
@@ -355,42 +333,27 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"listener\",\n"
+               "  \"rev\": \"%s\",\n  \"host_cores\": %d,\n"
+               "  \"mode\": \"%s\",\n"
                "  \"workload\": {\"conns\": %d, \"window_ms\": %d, "
-               "\"workers\": 3, \"max_pending\": %d, \"smoke\": %s},\n"
-               "  \"host_cores\": %d,\n  \"shard_points\": [\n",
-               sat_conns, window_ms, max_pending, smoke ? "true" : "false",
-               host_cores);
-  for (size_t i = 0; i < sat.size(); ++i) {
-    const SatResult& r = sat[i];
-    std::fprintf(f,
-                 "    {\"shards\": %d, \"throughput_rps\": %.1f, "
-                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"ok\": %llu, "
-                 "\"shed\": %llu, \"errors\": %llu}%s\n",
-                 r.shards, r.throughput_rps, r.p50_ms, r.p99_ms,
-                 static_cast<unsigned long long>(r.responses),
-                 static_cast<unsigned long long>(r.shed),
-                 static_cast<unsigned long long>(r.errors),
-                 i + 1 < sat.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"shard_ratio_4v1\": %.3f,\n"
-               "  \"ratio_target\": {\"min\": 2.0, \"applies\": %s,\n"
-               "    \"note\": \"REUSEPORT shard scaling requires >=4 cores; "
-               "on fewer cores all shards multiplex the same CPU and ~1x is "
-               "the physical ceiling\"}\n}\n",
-               ratio, host_cores >= 4 ? "true" : "false");
+               "\"workers\": 3, \"max_pending\": %d},\n"
+               "  \"front_door\": {\"throughput_rps\": %.1f, "
+               "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"ok\": %llu, "
+               "\"shed\": %llu, \"errors\": %llu}\n}\n",
+               git_rev().c_str(), host_cores, smoke ? "smoke" : "full",
+               sat_conns, window_ms, max_pending, r.throughput_rps, r.p50_ms,
+               r.p99_ms, static_cast<unsigned long long>(r.responses),
+               static_cast<unsigned long long>(r.shed),
+               static_cast<unsigned long long>(r.errors));
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
 
-  // Smoke mode gates CI: the sharded front door must not LOSE throughput or
-  // leak errors relative to a single shard even where it cannot gain.
-  if (smoke && sat[1].responses == 0) {
-    std::fprintf(stderr, "smoke: 4-shard run served no responses\n");
-    return 1;
-  }
-  if (host_cores >= 4 && ratio < 2.0 && !smoke) {
-    std::fprintf(stderr, "shard scaling below 2x on a %d-core host\n",
-                 host_cores);
+  // Smoke mode gates CI: the front door must serve and must not leak
+  // connection errors.
+  if (smoke && (r.responses == 0 || r.errors != 0)) {
+    std::fprintf(stderr, "smoke: %llu responses, %llu errors\n",
+                 static_cast<unsigned long long>(r.responses),
+                 static_cast<unsigned long long>(r.errors));
     return 1;
   }
   return 0;

@@ -1,12 +1,12 @@
 #include "engine/trap.hpp"
 
 #include <signal.h>
+#include <sys/mman.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <vector>
 
 namespace sledge::engine {
 
@@ -146,17 +146,48 @@ void install_trap_signal_handler() {
   });
 }
 
+namespace {
+
+// A thread's alternate signal stack: mmap-backed, and disabled and unmapped
+// at thread exit (before the thread's memory goes away). Whoever tears a
+// thread down may munmap the installed alternate stack itself (ASan does),
+// so it must be a mapping of its own and never heap memory.
+struct AltStack {
+  static constexpr size_t kSize = 64 * 1024;  // >= SIGSTKSZ on this platform
+  void* mem = nullptr;
+
+  ~AltStack() {
+    if (mem == nullptr) return;
+    stack_t cur{};
+    // Only undo what is still ours: a runtime that already swapped the
+    // stack out at thread exit has unmapped it too.
+    if (sigaltstack(nullptr, &cur) == 0 && cur.ss_sp == mem &&
+        !(cur.ss_flags & SS_DISABLE)) {
+      stack_t off{};
+      off.ss_flags = SS_DISABLE;
+      sigaltstack(&off, nullptr);
+      munmap(mem, kSize);
+    }
+  }
+};
+
+}  // namespace
+
 void ensure_sigaltstack() {
-  thread_local bool installed = false;
-  if (installed) return;
-  constexpr size_t kAltSize = 64 * 1024;  // >= SIGSTKSZ on this platform
-  static thread_local std::vector<char> alt(kAltSize);
-  stack_t ss;
-  ss.ss_sp = alt.data();
-  ss.ss_size = alt.size();
+  static thread_local AltStack alt;
+  if (alt.mem != nullptr) return;
+  void* mem = mmap(nullptr, AltStack::kSize, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) return;
+  stack_t ss{};
+  ss.ss_sp = mem;
+  ss.ss_size = AltStack::kSize;
   ss.ss_flags = 0;
-  sigaltstack(&ss, nullptr);
-  installed = true;
+  if (sigaltstack(&ss, nullptr) != 0) {
+    munmap(mem, AltStack::kSize);
+    return;
+  }
+  alt.mem = mem;
 }
 
 }  // namespace sledge::engine

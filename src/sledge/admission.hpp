@@ -37,7 +37,7 @@ enum class AdmissionPolicy : uint8_t {
 
 const char* to_string(AdmissionPolicy p);
 
-// What the listener answers when a request is not admitted.
+// What the front door answers when a request is not admitted.
 enum class AdmitVerdict : uint8_t {
   kAdmit = 0,
   kShedOverload = 1,  // 503: depth / fair-share cap / queueing kills slack
@@ -48,7 +48,7 @@ const char* to_string(AdmitVerdict v);
 
 // Sliding-window phase predictor, one per module. record() is called by
 // workers under the module's stats mutex (serialized writers); the p99s are
-// read lock-free on the listener's admit path. Samples from killed requests
+// read lock-free on the front door's admit path. Samples from killed requests
 // are included: their (truncated) exec and full queue_wait are exactly the
 // congestion signal the gate needs.
 class SlackPredictor {
@@ -62,7 +62,7 @@ class SlackPredictor {
   // stale zeros).
   void record(uint64_t queue_wait_ns, uint64_t exec_cpu_ns);
 
-  // Lock-free readers (listener admit path, stats surfaces).
+  // Lock-free readers (front-door admit path, stats surfaces).
   uint64_t queue_wait_p99_ns() const {
     return queue_p99_.load(std::memory_order_acquire);
   }

@@ -1,9 +1,10 @@
 // Lock-free Chase–Lev work-stealing deque (Chase & Lev, SPAA'05, with the
 // C11-memory-model corrections of Lê et al., PPoPP'13).
 //
-// Sledge's global work-distribution structure: the listener core is the
-// single owner (push/take at the bottom), worker cores are thieves (steal
-// from the top). This decouples work distribution from the per-core
+// Sledge's global work-distribution structure: the admitting side is the
+// owner (push/take at the bottom; the Distributor serializes the workers
+// that admit from the front door), worker cores are thieves (steal from
+// the top). This decouples work distribution from the per-core
 // scheduling that provides temporal isolation — the central design split of
 // the paper (§3.4).
 #pragma once
@@ -42,8 +43,11 @@ class WorkStealingDeque {
       buf = grow(buf, t, b);
     }
     buf->put(b, item);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    // A release store rather than a release fence plus a relaxed store:
+    // the same ordering (a plain store on x86), and one that race checkers
+    // model, so what the owner wrote before push() visibly happens before
+    // a thief's acquire load of bottom_.
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   // Owner only: LIFO pop from the bottom. Returns false when empty.

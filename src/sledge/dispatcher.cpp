@@ -37,37 +37,31 @@ Distributor::Distributor(DistPolicy policy, int workers)
   }
 }
 
-void Distributor::push(Sandbox* sb) { push_batch(&sb, 1); }
-
-void Distributor::push_batch(Sandbox* const* sbs, size_t n) {
-  if (n == 0) return;
+int Distributor::push(Sandbox* sb) {
   switch (policy_) {
     case DistPolicy::kWorkStealing: {
-      // One owner-end session per batch: push_mu_ serializes the N listener
-      // shards (the deque's owner ops assume a single thread at a time).
       std::lock_guard<std::mutex> lock(push_mu_);
-      for (size_t i = 0; i < n; ++i) deque_.push(sbs[i]);
-      break;
+      deque_.push(sb);
+      return -1;
     }
     case DistPolicy::kGlobalLock: {
       std::lock_guard<std::mutex> lock(global_mu_);
-      for (size_t i = 0; i < n; ++i) global_q_.push_back(sbs[i]);
-      break;
+      global_q_.push_back(sb);
+      return -1;
     }
     case DistPolicy::kPerWorker: {
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t idx = rr_cursor_.fetch_add(1, std::memory_order_relaxed) %
-                       static_cast<uint64_t>(workers_);
-        PerWorkerQ& q = *per_worker_[idx];
-        std::lock_guard<std::mutex> lock(q.mu);
-        q.q.push_back(sbs[i]);
-      }
-      break;
+      uint64_t idx = rr_cursor_.fetch_add(1, std::memory_order_relaxed) %
+                     static_cast<uint64_t>(workers_);
+      PerWorkerQ& q = *per_worker_[idx];
+      std::lock_guard<std::mutex> lock(q.mu);
+      q.q.push_back(sb);
+      return static_cast<int>(idx);
     }
   }
+  return -1;
 }
 
-void Distributor::inject(Sandbox* sb, int worker_hint) {
+int Distributor::inject(Sandbox* sb, int worker_hint) {
   // Locality-hinted placement: land the child on its parent's worker so it
   // runs with warm caches and a zero-hop join wake. Advisory — a hinted
   // queue deeper than the cap means the worker is busier than the caller's
@@ -79,15 +73,16 @@ void Distributor::inject(Sandbox* sb, int worker_hint) {
       std::lock_guard<std::mutex> lock(hq.mu);
       hq.q.push_back(sb);
       hq.count.fetch_add(1, std::memory_order_release);
-      return;
+      return worker_hint;
     }
   }
-  // Worker-thread-safe side entrance: the Chase–Lev owner end belongs to
-  // the listener, so children bypass it through a small mutexed queue that
-  // fetch() probes with a relaxed counter (zero-cost when unused).
+  // Side entrance: children bypass the Chase–Lev owner end through a small
+  // mutexed queue that fetch() probes with a relaxed counter (zero-cost
+  // when unused).
   std::lock_guard<std::mutex> lock(inject_mu_);
   inject_q_.push_back(sb);
   inject_count_.fetch_add(1, std::memory_order_release);
+  return -1;
 }
 
 bool Distributor::fetch(int worker_index, Sandbox** out) {
@@ -175,12 +170,9 @@ class WorkStealingDispatcher : public Dispatcher {
   DispatchPolicy kind() const override {
     return DispatchPolicy::kWorkStealing;
   }
-  void push(Sandbox* sb) override { dist_.push(sb); }
-  void push_batch(Sandbox* const* sbs, size_t n) override {
-    dist_.push_batch(sbs, n);
-  }
-  void inject(Sandbox* sb, int worker_hint) override {
-    dist_.inject(sb, worker_hint);
+  int push(Sandbox* sb) override { return dist_.push(sb); }
+  int inject(Sandbox* sb, int worker_hint) override {
+    return dist_.inject(sb, worker_hint);
   }
   bool fetch(int worker_index, Sandbox** out) override {
     return dist_.fetch(worker_index, out);
@@ -202,9 +194,9 @@ class GlobalEdfDispatcher : public Dispatcher {
  public:
   DispatchPolicy kind() const override { return DispatchPolicy::kGlobalEdf; }
 
-  void push(Sandbox* sb) override { place(sb); }
+  int push(Sandbox* sb) override { return place(sb); }
   // Locality hints are ignored: global deadline order IS the policy here.
-  void inject(Sandbox* sb, int) override { place(sb); }
+  int inject(Sandbox* sb, int) override { return place(sb); }
 
   bool fetch(int, Sandbox** out) override {
     std::lock_guard<std::mutex> lock(mu_);
@@ -234,12 +226,13 @@ class GlobalEdfDispatcher : public Dispatcher {
     }
   };
 
-  void place(Sandbox* sb) {
+  int place(Sandbox* sb) {
     uint64_t deadline = sb->deadline_at_ns();
     std::lock_guard<std::mutex> lock(mu_);
     heap_.push_back(Entry{deadline == 0 ? UINT64_MAX : deadline, seq_++, sb});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     size_.fetch_add(1, std::memory_order_relaxed);
+    return -1;
   }
 
   mutable std::mutex mu_;
@@ -265,9 +258,9 @@ class ShardedByModuleDispatcher : public Dispatcher {
     return DispatchPolicy::kShardedByModule;
   }
 
-  void push(Sandbox* sb) override { place(sb); }
+  int push(Sandbox* sb) override { return place(sb); }
   // Locality hints are ignored: module affinity IS the policy here.
-  void inject(Sandbox* sb, int) override { place(sb); }
+  int inject(Sandbox* sb, int) override { return place(sb); }
 
   bool fetch(int worker_index, Sandbox** out) override {
     if (worker_index < 0 || worker_index >= workers_) return false;
@@ -304,10 +297,12 @@ class ShardedByModuleDispatcher : public Dispatcher {
     std::deque<Sandbox*> q;
   };
 
-  void place(Sandbox* sb) {
-    Shard& s = *shards_[shard_of(sb->user_tag)];
+  int place(Sandbox* sb) {
+    const int shard = shard_of(sb->user_tag);
+    Shard& s = *shards_[shard];
     std::lock_guard<std::mutex> lock(s.mu);
     s.q.push_back(sb);
+    return shard;
   }
 
   int workers_;

@@ -1,5 +1,5 @@
-// The dispatcher layer: how admitted sandboxes travel from the listener to
-// a worker core. Sits above the per-worker SchedulerPolicy (which orders a
+// The dispatcher layer: how admitted sandboxes travel from the worker that
+// admitted them (front door or sb_invoke) to the worker core that runs them. Sits above the per-worker SchedulerPolicy (which orders a
 // worker's *local* runnable set) and decides the *global* hand-out:
 //
 //   kWorkStealing — the paper's design: a global Chase–Lev deque (or the
@@ -51,33 +51,31 @@ enum class DispatchPolicy : uint8_t {
 
 const char* to_string(DispatchPolicy p);
 
-// Work distribution with swappable policy. push() is listener-shard-only
-// for kWorkStealing; with N listener shards the Chase–Lev owner end has N
-// producers, so owner-end sessions are serialized by `push_mu_` (steals stay
-// lock-free). inject() is the any-thread side entrance (sb_invoke children
-// are admitted from worker threads, which must not touch the owner end).
+// Work distribution with swappable policy. Every worker admits requests
+// from the front door, so the Chase–Lev owner end of kWorkStealing has one
+// producer per worker and owner-end sessions are serialized by `push_mu_`
+// (steals stay lock-free). inject() is the side entrance for sb_invoke
+// children. push() and inject() return the worker the sandbox is bound to,
+// or -1 when any worker may fetch it.
 class Distributor {
  public:
   Distributor(DistPolicy policy, int workers);
 
-  void push(Sandbox* sb);
-  // Batched admission: one owner-end session / lock acquisition for the
-  // whole epoll tick instead of one per request.
-  void push_batch(Sandbox* const* sbs, size_t n);
+  int push(Sandbox* sb);
   // `worker_hint` >= 0 asks for placement on that worker's hinted queue
   // (invoke locality: the child runs where the parent's caches are warm).
   // The hint is advisory — a full hinted queue falls back to the shared
   // side entrance, and any worker's fetch() can still serve global work.
-  void inject(Sandbox* sb, int worker_hint = -1);
+  int inject(Sandbox* sb, int worker_hint = -1);
   bool fetch(int worker_index, Sandbox** out);
   int64_t backlog_estimate() const;
 
  private:
   DistPolicy policy_;
   int workers_;
-  // Serializes the Chase–Lev owner end across listener shards. The deque's
-  // owner ops assume one thread; the mutex gives successive owners a
-  // happens-before edge, which is all the algorithm needs.
+  // Serializes the Chase–Lev owner end across the admitting workers. The
+  // deque's owner ops assume one thread; the mutex gives successive owners
+  // a happens-before edge, which is all the algorithm needs.
   std::mutex push_mu_;
   WorkStealingDeque<Sandbox*> deque_;
   mutable std::mutex global_mu_;
@@ -104,10 +102,12 @@ class Distributor {
 
 // The pluggable hand-out structure. Contracts shared by every
 // implementation:
-//   push()   — listener-thread admit (single producer; kWorkStealing owns
-//              the Chase–Lev producer end there).
+//   push()   — front-door admit, from any worker.
 //   inject() — any-thread side entrance (sb_invoke children admitted from
 //              worker threads).
+//   Both return the worker a placement bound the sandbox to (per-worker
+//   queue, module shard, honored locality hint), or -1 when any worker may
+//   fetch it; the caller wakes only a bound worker.
 //   fetch()  — worker-side dequeue; returns false when nothing is available
 //              for `worker_index`. Each pushed sandbox is returned by
 //              exactly one successful fetch (no loss, no duplication).
@@ -117,17 +117,11 @@ class Dispatcher {
   virtual ~Dispatcher() = default;
 
   virtual DispatchPolicy kind() const = 0;
-  virtual void push(Sandbox* sb) = 0;
-  // Admit a whole epoll tick's worth of sandboxes in one call (listener
-  // shards batch admissions; queue kinds that lock can amortize to one
-  // acquisition). Default just loops over push().
-  virtual void push_batch(Sandbox* const* sbs, size_t n) {
-    for (size_t i = 0; i < n; ++i) push(sbs[i]);
-  }
+  virtual int push(Sandbox* sb) = 0;
   // `worker_hint` >= 0 prefers that worker (invoke locality). Dispatchers
   // whose placement semantics dominate (global deadline order, module
   // affinity) may ignore it; work-stealing honors it.
-  virtual void inject(Sandbox* sb, int worker_hint = -1) = 0;
+  virtual int inject(Sandbox* sb, int worker_hint = -1) = 0;
   virtual bool fetch(int worker_index, Sandbox** out) = 0;
   virtual int64_t backlog_estimate() const = 0;
 

@@ -32,6 +32,17 @@ Status IoLoop::init() {
   return Status::ok();
 }
 
+Status IoLoop::nest_ready_set(int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    return Status::error("io_loop: epoll_ctl(ready set) failed");
+  }
+  ready_set_fd_ = fd;
+  return Status::ok();
+}
+
 void IoLoop::notify() {
   if (event_fd_ < 0) return;
   uint64_t one = 1;
@@ -144,7 +155,7 @@ void IoLoop::pump_child_waiters(std::vector<Sandbox*>* ready) {
 }
 
 void IoLoop::poll(uint64_t timeout_ns, std::vector<Sandbox*>* ready,
-                  bool* writes_ready) {
+                  bool* writes_ready, bool* door_ready) {
   epoll_event events[64];
   int timeout_ms = 0;
   if (timeout_ns > 0) {
@@ -163,6 +174,10 @@ void IoLoop::poll(uint64_t timeout_ns, std::vector<Sandbox*>* ready,
       // A notify may signal new distributor work, a child completion, or a
       // stop; the worker re-checks all of those. Flag writes too: cheap.
       *writes_ready = true;
+      continue;
+    }
+    if (fd == ready_set_fd_) {
+      if (door_ready) *door_ready = true;
       continue;
     }
     auto w = fd_waiters_.find(fd);

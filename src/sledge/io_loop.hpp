@@ -13,11 +13,14 @@
 //     O(log n) per event instead of a linear scan per loop iteration.
 //   * Response WriteJob fds that hit EAGAIN are parked for EPOLLOUT, so a
 //     slow reader costs nothing until the kernel says the socket drained.
+//   * The front door's ready set (one epoll instance shared by every
+//     worker, front_door.hpp) is nested here, so a ready client connection
+//     wakes an idle worker like any other event.
 //   * When no sandbox is runnable the worker sleeps in epoll_wait with a
-//     timeout clipped to the nearest timer; cross-thread events (new work
-//     pushed by the listener, a child completing on another worker) land on
-//     an eventfd, so CPU-bound and I/O-bound requests overlap on one core
-//     without busy-spinning.
+//     timeout clipped to the nearest timer; cross-thread events (work a
+//     placement policy bound to this worker, a child completing on another
+//     worker) land on an eventfd, so CPU-bound and I/O-bound requests
+//     overlap on one core without busy-spinning.
 //
 // Threading: everything except notify() is owner-worker-only. notify() is
 // async-signal- and cross-thread-safe (a single eventfd write).
@@ -48,6 +51,9 @@ class IoLoop {
   IoLoop& operator=(const IoLoop&) = delete;
 
   Status init();
+  // Nests the front door's ready set (an epoll fd) in this loop; poll()
+  // then reports when it has a ready connection.
+  Status nest_ready_set(int fd);
 
   // Cross-thread wake: makes a concurrent (or the next) poll() return
   // promptly. Safe from any thread while the loop exists.
@@ -66,10 +72,11 @@ class IoLoop {
   // Drains ready events. Woken sandboxes (timer fired, fd ready, child
   // done, or deadline kill) are appended to *ready in kRunnable state;
   // *writes_ready is set when a parked write fd turned writable (or a
-  // notify arrived, which may be a write-side signal). Blocks in epoll_wait
-  // for at most `timeout_ns` (0 = non-blocking drain).
+  // notify arrived, which may be a write-side signal); *door_ready (when
+  // given) is set when the nested ready set has a ready fd. Blocks in
+  // epoll_wait for at most `timeout_ns` (0 = non-blocking drain).
   void poll(uint64_t timeout_ns, std::vector<Sandbox*>* ready,
-            bool* writes_ready);
+            bool* writes_ready, bool* door_ready = nullptr);
 
   // How long poll() may sleep without missing a timer: min(nearest heap
   // entry - now, cap_ns). Returns cap_ns when no timers are pending.
@@ -111,6 +118,7 @@ class IoLoop {
 
   int epoll_fd_ = -1;
   int event_fd_ = -1;
+  int ready_set_fd_ = -1;
   uint64_t next_seq_ = 1;
 
   std::unordered_map<Sandbox*, Blocked> blocked_;

@@ -13,7 +13,7 @@ namespace {
 
 using Totals = Runtime::Totals;
 using Pool = SandboxResourcePool::Counters;
-using Shard = Runtime::ListenerSnapshot;
+using Door = Runtime::ListenerSnapshot;
 using Work = Runtime::WorkerSnapshot;
 using Mod = Runtime::ModuleSnapshot;
 using enum Kind;
@@ -43,7 +43,7 @@ constexpr Scope scope_of(const RuntimeConfig*) { return Scope::kConfig; }
 constexpr Scope scope_of(const StatsSnapshot*) { return Scope::kRuntime; }
 constexpr Scope scope_of(const Totals*) { return Scope::kTotals; }
 constexpr Scope scope_of(const Pool*) { return Scope::kPool; }
-constexpr Scope scope_of(const Shard*) { return Scope::kListener; }
+constexpr Scope scope_of(const Door*) { return Scope::kListener; }
 constexpr Scope scope_of(const Work*) { return Scope::kWorker; }
 constexpr Scope scope_of(const Mod*) { return Scope::kModule; }
 
@@ -56,7 +56,7 @@ void for_each_instance(const StatsSnapshot& s, const RuntimeConfig& cfg,
   fn(&s, "");
   fn(&s.totals, "");
   fn(&s.pool, "");
-  for (const Shard& l : s.listeners) fn(&l, std::to_string(l.id));
+  for (const Door& l : s.listeners) fn(&l, std::to_string(l.id));
   for (const Work& w : s.workers) fn(&w, std::to_string(w.id));
   for (const Mod& m : s.modules) fn(&m, m.name);
 }
@@ -165,10 +165,10 @@ const std::vector<Metric>& table() {
       row<&Pool::transfer_hits>(kCounter, "transfer_hits", "sledge_pool_transfer_hits_total", "Transfer buffers reused"),
       row<&Pool::transfer_misses>(kCounter, "transfer_misses", "sledge_pool_transfer_misses_total", "Transfer buffers created"),
       row<&Pool::transfer_outstanding>(kGauge, "transfer_outstanding", "sledge_transfer_outstanding", "Transfer-buffer loans not yet returned"),
-      row<&Shard::accepted>(kCounter, "accepted", "sledge_listener_accepted_total", "Connections accepted by the shard"),
-      row<&Shard::accept_errors>(kCounter, "accept_errors", "sledge_listener_accept_errors_total", "Failed accepts on the shard"),
-      row<&Shard::open_conns>(kGauge, "open_conns", "sledge_listener_open_conns", "Connections in the shard's epoll set"),
-      row<&Shard::loaned_conns>(kGauge, "loaned_conns", "sledge_listener_loaned_conns", "Connections loaned to a worker"),
+      row<&Door::accepted>(kCounter, "accepted", "sledge_listener_accepted_total", "Connections accepted by the front door"),
+      row<&Door::accept_errors>(kCounter, "accept_errors", "sledge_listener_accept_errors_total", "Failed accepts at the front door"),
+      row<&Door::open_conns>(kGauge, "open_conns", "sledge_listener_open_conns", "Open connections with no request in a sandbox"),
+      row<&Door::loaned_conns>(kGauge, "loaned_conns", "sledge_listener_loaned_conns", "Connections whose request a sandbox holds"),
       row<&Work::dispatches>(kCounter, "dispatches", "sledge_worker_dispatches_total", "Sandbox dispatches"),
       row<&Work::preemptions>(kCounter, "preemptions", "sledge_worker_preemptions_total", "Quantum expiries"),
       row<&Work::steals>(kCounter, "steals", "sledge_worker_steals_total", "Sandboxes stolen"),

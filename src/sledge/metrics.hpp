@@ -15,7 +15,7 @@ namespace sledge::runtime::metrics {
 using StatsSnapshot = Runtime::StatsSnapshot;
 
 // The snapshot struct a row reads; kListener, kWorker and kModule have one
-// instance per shard, worker or module.
+// instance per front door, worker or module.
 enum class Scope : uint8_t {
   kConfig, kRuntime, kTotals, kPool, kListener, kWorker, kModule,
 };

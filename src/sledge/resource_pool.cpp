@@ -41,9 +41,9 @@ namespace {
 // into the (never-destructed) global pool, so thread-cached resources
 // survive Runtime restarts within a process.
 //
-// `acquirer` marks threads that create sandboxes (the listener, the
-// inline/bench path). Only those cache locally on release: a release-only
-// thread (a worker retiring sandboxes the listener created) would hoard
+// `acquirer` marks threads that create sandboxes (the workers admitting
+// from the front door, the inline/bench path). Only those cache locally on
+// release: a release-only thread (one that only retires sandboxes) would hoard
 // resources its cache can never hand back, so it pushes straight to the
 // global pool where the acquiring threads can see them.
 struct ThreadCache {
@@ -51,10 +51,12 @@ struct ThreadCache {
   std::vector<ExecStack*> stacks;
   std::vector<TransferBuffer*> transfers;
   bool acquirer = false;
-  // Tracked separately from `acquirer`: transfer buffers are acquired by
-  // worker threads (the parent's sb_invoke hostcall), which are
-  // release-only for memories/stacks and must not start hoarding those.
+  // Tracked separately from `acquirer`: a thread that acquires transfer
+  // buffers (the parent's sb_invoke hostcall) but never creates sandboxes
+  // must not start hoarding memories and stacks.
   bool transfer_acquirer = false;
+  // share_thread_resources(): never cache memories or stacks locally.
+  bool shared = false;
   ~ThreadCache();
 };
 
@@ -107,11 +109,13 @@ void SandboxResourcePool::configure(const Config& config) {
   global_cap_.store(config.global_cap, std::memory_order_release);
 }
 
+void SandboxResourcePool::share_thread_resources() { t_cache.shared = true; }
+
 engine::LinearMemory SandboxResourcePool::acquire_memory(
     engine::BoundsStrategy strategy, uint32_t min_pages, uint32_t max_pages,
     bool* from_pool) {
   if (from_pool) *from_pool = false;
-  t_cache.acquirer = true;
+  t_cache.acquirer = !t_cache.shared;
   const uint64_t reserved =
       engine::LinearMemory::reservation_bytes(strategy, max_pages);
 
@@ -187,7 +191,7 @@ ExecStack* SandboxResourcePool::acquire_stack(size_t stack_size,
                                               size_t guard_size,
                                               bool* from_pool) {
   if (from_pool) *from_pool = false;
-  t_cache.acquirer = true;
+  t_cache.acquirer = !t_cache.shared;
   const size_t total = stack_size + guard_size;
   for (size_t i = 0; i < t_cache.stacks.size(); ++i) {
     ExecStack* s = t_cache.stacks[i];

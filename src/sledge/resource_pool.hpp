@@ -33,9 +33,10 @@
 // locks; sized by per_thread_cap) and overflows into a bounded global pool
 // (mutex; sized by global_cap, the reclaim watermark — resources beyond it
 // are released to the OS). Release-only threads skip the local list so
-// resources flow back to the acquirers: in the server, workers release into
-// the global pool and the listener acquires from it; in the inline/bench
-// path one thread hits its own lock-free list.
+// resources flow back to the acquirers. Server workers create sandboxes that
+// often retire on another worker, so they share the global pool outright
+// (share_thread_resources); in the inline/bench path one thread hits its
+// own lock-free list.
 #pragma once
 
 #include <atomic>
@@ -120,6 +121,11 @@ class SandboxResourcePool {
   static SandboxResourcePool& instance();
 
   void configure(const Config& config);
+
+  // The calling thread keeps no local free lists: it acquires from and
+  // releases to the global pool, so threads that create sandboxes for one
+  // another do not each hoard a private list (resident pages add up).
+  void share_thread_resources();
 
   // Pops a region matching (strategy, reservation-for-max_pages) and
   // reset()s it to the requested spec; falls back to LinearMemory::create

@@ -4,12 +4,11 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <thread>
+#include <atomic>
 
 #include "common/log.hpp"
 #include "engine/host.hpp"
-#include "sledge/listener.hpp"
+#include "sledge/front_door.hpp"
 #include "sledge/metrics.hpp"
 #include "sledge/worker.hpp"
 
@@ -99,37 +98,22 @@ Status Runtime::update_module_limits(const std::string& name,
   return Status::ok();
 }
 
-int Runtime::num_listeners() const {
-  if (config_.num_listeners > 0) return config_.num_listeners;
-  unsigned cores = std::thread::hardware_concurrency();
-  if (cores == 0) cores = 1;
-  return static_cast<int>(std::min(4u, cores));
-}
-
 Status Runtime::start() {
   if (running_.load()) return Status::error("already running");
-  listeners_.clear();
   stopped_listeners_.clear();
   stopped_workers_.clear();
-  // Shard 0 resolves the port (config_.port may be 0 = kernel-picked);
-  // every later shard joins the same SO_REUSEPORT group on that port.
-  const int shards = num_listeners();
-  for (int i = 0; i < shards; ++i) {
-    listeners_.push_back(std::make_unique<Listener>(this, i));
-    uint16_t port = 0;
-    Status s = listeners_.back()->init(i == 0 ? config_.port : bound_port_,
-                                       &port);
-    if (!s.is_ok()) {
-      listeners_.clear();
-      return s;
-    }
-    if (i == 0) bound_port_ = port;
+  front_door_ = std::make_unique<FrontDoor>(this);
+  Status s = front_door_->init(config_.port, &bound_port_);
+  if (!s.is_ok()) {
+    front_door_.reset();
+    return s;
   }
 
   if (!config_.access_log_path.empty()) {
     access_log_fd_ = ::open(config_.access_log_path.c_str(),
                             O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (access_log_fd_ < 0) {
+      front_door_.reset();
       return Status::error("access log open failed: " +
                            config_.access_log_path);
     }
@@ -137,16 +121,26 @@ Status Runtime::start() {
 
   start_ns_ = now_ns();
   running_.store(true, std::memory_order_release);
+  // Every worker exists before any starts (a worker may wake another as
+  // soon as it runs), and the listen socket is armed only once they all
+  // run.
   for (int i = 0; i < config_.workers; ++i) {
     workers_.push_back(std::make_unique<Worker>(this, i));
-    workers_.back()->start();
   }
-  for (auto& l : listeners_) l->start();
+  for (auto& w : workers_) {
+    s = w->start();
+    if (!s.is_ok()) {
+      SLEDGE_LOG_ERROR("worker start failed: %s", s.message().c_str());
+      stop();
+      return s;
+    }
+  }
+  front_door_->open();
   SLEDGE_LOG_INFO(
-      "sledge runtime on port %u (%d listeners, %d workers, quantum %lu us, "
+      "sledge runtime on port %u (%d workers, quantum %lu us, "
       "%s, dispatcher=%s, sched=%s, admission=%s, instantiation=%s, "
       "dataplane=%s)",
-      bound_port_, shards, config_.workers,
+      bound_port_, config_.workers,
       static_cast<unsigned long>(config_.quantum_us),
       to_string(config_.policy), to_string(config_.dispatcher),
       to_string(config_.sched), to_string(config_.admission),
@@ -173,10 +167,10 @@ AdmitVerdict Runtime::admission_check(const LoadedModule* mod) const {
 
 void Runtime::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
-  // Graceful drain: stop admitting (the listener sheds with 503 while
-  // draining) and give in-flight sandboxes and unflushed responses a bounded
-  // grace period to finish. Runaway sandboxes that outlive the grace period
-  // are abandoned and counted as drained by their workers.
+  // Graceful drain: stop admitting (the front door sheds with 503 while
+  // draining) and give in-flight sandboxes and unflushed responses a
+  // bounded grace period to finish. Runaway sandboxes that outlive the
+  // grace period are abandoned and counted as drained by their workers.
   if (!draining_.exchange(true)) {
     uint64_t deadline = now_ns() + config_.drain_grace_ns;
     while (now_ns() < deadline &&
@@ -187,13 +181,10 @@ void Runtime::stop() {
   }
   if (!running_.exchange(false)) return;
   for (auto& w : workers_) w->notify();  // interrupt idle epoll sleeps
-  for (auto& l : listeners_) l->wake();
   for (auto& w : workers_) w->join();
-  for (auto& l : listeners_) l->join();
-  // Workers are joined before listeners, so a listener's final admission
-  // flush can still hand the dispatcher sandboxes nobody will ever fetch.
+  // A worker may place a sandbox for another one that had already exited.
   // Drain them here — the same bookkeeping as a worker abandon — so
-  // shutdown leaks neither sandboxes nor their connection fds.
+  // shutdown leaks neither sandboxes nor their connections.
   Sandbox* orphan = nullptr;
   for (int i = 0; i < config_.workers; ++i) {
     while (dispatcher_->fetch(i, &orphan)) {
@@ -203,7 +194,9 @@ void Runtime::stop() {
         join->status = engine::kSbErrChildFailed;
         join->done.store(true, std::memory_order_release);
       }
-      if (orphan->conn_fd() >= 0) ::close(orphan->conn_fd());
+      if (orphan->conn_fd() >= 0) {
+        front_door_->finish(orphan->conn_fd(), /*keep_open=*/false, nullptr);
+      }
       delete orphan;
     }
   }
@@ -226,33 +219,17 @@ void Runtime::stop() {
         w->stats().blocked.load(std::memory_order_relaxed);
     retired_totals_.woken += w->stats().woken.load(std::memory_order_relaxed);
   }
-  for (const auto& l : listeners_) {
-    retired_totals_.accepted += l->accepted();
-    retired_totals_.accept_errors += l->accept_errors();
+  if (front_door_) {
+    retired_totals_.accepted += front_door_->accepted();
+    retired_totals_.accept_errors += front_door_->accept_errors();
   }
   stopped_listeners_ = listener_snapshots();
   stopped_workers_ = worker_snapshots();
   workers_.clear();
-  listeners_.clear();
+  front_door_.reset();  // closes the connections nobody holds
   if (access_log_fd_ >= 0) {
     ::close(access_log_fd_);  // workers flushed their buffers before join
     access_log_fd_ = -1;
-  }
-}
-
-void Runtime::return_connection(int fd, int shard, uint64_t gen) {
-  if (running() && shard >= 0 &&
-      shard < static_cast<int>(listeners_.size())) {
-    listeners_[shard]->return_connection(fd, gen);
-  } else {
-    ::close(fd);
-  }
-}
-
-void Runtime::forget_connection(int fd, int shard, uint64_t gen) {
-  if (running() && shard >= 0 &&
-      shard < static_cast<int>(listeners_.size())) {
-    listeners_[shard]->discard_connection(fd, gen);
   }
 }
 
@@ -263,7 +240,7 @@ LoadedModule* Runtime::admit_invoke_module(const std::string& name,
     *err = engine::kSbErrNoModule;
     return nullptr;
   }
-  // Children obey the same admission control as listener requests: a
+  // Children obey the same admission control as HTTP requests: a
   // draining or saturated runtime sheds the invoke instead of queueing it.
   if (!running() || draining()) {
     note_shed(mod);
@@ -340,12 +317,10 @@ void Runtime::place_invoke_child(Sandbox* parent, LoadedModule* mod,
   }
   invokes_.fetch_add(1, std::memory_order_relaxed);
   note_admitted(mod);
-  dispatcher_->inject(child.release(), hint);
-  if (hint >= 0) {
-    notify_worker(hint);
-  } else {
-    notify_workers();  // the parent's own worker may be the only idle core
-  }
+  int bound = dispatcher_->inject(child.release(), hint);
+  // The parent is still running on its worker, so unbound children may
+  // need an idle worker.
+  wake_for(bound, parent->owner_worker(), /*placer_busy=*/true);
 }
 
 bool Runtime::invoke_child(Sandbox* parent, const std::string& name,
@@ -410,8 +385,7 @@ bool Runtime::invoke_stream_child(Sandbox* parent, const std::string& name,
   // join (parent is itself an invoke child); the hostcall already refused
   // parents with neither.
   if (parent->conn_fd() >= 0) {
-    child->adopt_connection(parent->conn_fd(), parent->keep_alive(),
-                            parent->conn_shard(), parent->conn_gen());
+    child->adopt_connection(parent->conn_fd(), parent->keep_alive());
     parent->release_connection();
   } else {
     child->set_result_join(parent->take_result_join());
@@ -427,8 +401,21 @@ void Runtime::notify_worker(int index) {
   }
 }
 
-void Runtime::notify_workers() {
-  for (auto& w : workers_) w->notify();
+void Runtime::wake_for(int bound, int placer, bool placer_busy) {
+  if (bound >= 0) {
+    if (bound != placer) notify_worker(bound);
+    return;
+  }
+  if (!placer_busy && dispatcher_->backlog_estimate() <= 1) return;
+  // Pairs with the worker's idle flag: it publishes idle, then re-checks
+  // the backlog before sleeping.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  for (auto& w : workers_) {
+    if (w->idle()) {
+      w->notify();
+      return;
+    }
+  }
 }
 
 void Runtime::record_completion(Sandbox* sb, SandboxState final_state) {
@@ -488,22 +475,23 @@ Runtime::Totals Runtime::totals() const {
     t.blocked += w->stats().blocked.load(std::memory_order_relaxed);
     t.woken += w->stats().woken.load(std::memory_order_relaxed);
   }
-  for (const auto& l : listeners_) {
-    t.accepted += l->accepted();
-    t.accept_errors += l->accept_errors();
+  if (front_door_) {
+    t.accepted += front_door_->accepted();
+    t.accept_errors += front_door_->accept_errors();
   }
   return t;
 }
 
 std::vector<Runtime::ListenerSnapshot> Runtime::listener_snapshots() const {
   std::vector<ListenerSnapshot> out;
-  for (const auto& l : listeners_) {
+  if (front_door_) {
     ListenerSnapshot ls;
-    ls.id = l->shard();
-    ls.accepted = l->accepted();
-    ls.accept_errors = l->accept_errors();
-    ls.open_conns = l->open_conns();
-    ls.loaned_conns = l->loaned_conns();
+    ls.accepted = front_door_->accepted();
+    ls.accept_errors = front_door_->accept_errors();
+    // One read of each, so the two add up to the open connections.
+    const int64_t loaned = front_door_->loaned_conns();
+    ls.open_conns = front_door_->open_conns() - loaned;
+    ls.loaned_conns = loaned;
     out.push_back(ls);
   }
   return out;
@@ -534,8 +522,9 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
   s.inflight = inflight();
   s.totals = totals();
   s.pool = SandboxResourcePool::instance().counters();
-  // After stop() the listeners and workers are gone; their last values stay.
-  s.listeners = listeners_.empty() ? stopped_listeners_ : listener_snapshots();
+  // After stop() the front door and workers are gone; their last values
+  // stay.
+  s.listeners = front_door_ ? listener_snapshots() : stopped_listeners_;
   s.workers = workers_.empty() ? stopped_workers_ : worker_snapshots();
   for (const auto& [name, mod] : modules_) {
     ModuleSnapshot ms;

@@ -1,11 +1,12 @@
 // The Sledge single-process serverless runtime (paper §3.3–§3.5, §4).
 //
-// One listener thread accepts TCP connections, parses HTTP requests and
-// instantiates sandboxes; a global work-distribution structure (Chase–Lev
-// deque by default) hands them to N worker threads; each worker runs a
-// preemptive round-robin scheduler over user-level sandbox contexts with a
-// configurable quantum (paper default 5 ms). Request routing is by path:
-// POST /<module-name>.
+// N worker threads and nothing else: between dispatches a worker takes the
+// next ready client connection from the front door's shared ready set,
+// parses the HTTP request and instantiates its sandbox; a global
+// work-distribution structure (Chase–Lev deque by default) hands sandboxes
+// out across the workers; each worker runs a preemptive round-robin
+// scheduler over user-level sandbox contexts with a configurable quantum
+// (paper default 5 ms). Request routing is by path: POST /<module-name>.
 #pragma once
 
 #include <atomic>
@@ -29,7 +30,7 @@
 namespace sledge::runtime {
 
 class Worker;
-class Listener;
+class FrontDoor;
 
 // How sb_invoke / sb_invoke_stream payloads travel between parent and
 // child sandboxes:
@@ -46,10 +47,6 @@ const char* to_string(InvokeDataplane d);
 struct RuntimeConfig {
   uint16_t port = 0;  // 0 = pick a free port (see Runtime::bound_port)
   int workers = 3;
-  // Listener shards: N SO_REUSEPORT accept loops, each with its own epoll
-  // set and connection table (the kernel hashes connections across them).
-  // 0 = min(4, hardware cores).
-  int num_listeners = 0;
   uint64_t quantum_us = 5000;  // paper's 5 ms time slice
   DistPolicy policy = DistPolicy::kWorkStealing;
   // Dispatcher layer above the Distributor: how admitted sandboxes are
@@ -97,7 +94,8 @@ struct RuntimeConfig {
 
   // ---- Observability plane ----
   // Serve GET /admin/stats (JSON) and GET /admin/metrics (Prometheus text)
-  // from the listener thread, off lock-free/briefly-locked snapshots.
+  // on the worker holding the connection, off lock-free/briefly-locked
+  // snapshots.
   bool admin_endpoint = true;
   // Structured access log: one JSON line per completed function request
   // (module, status, bytes, phase breakdown, worker id, dispatch/preempt
@@ -158,7 +156,7 @@ struct LoadedModule {
   ModuleLimits limits;
   ModuleStats stats;
   // In-flight slots this module holds (admitted, not yet retired) — the
-  // fair-share accounting input. Touched by listener and workers.
+  // fair-share accounting input. Touched by every worker.
   std::atomic<int64_t> inflight{0};
 };
 
@@ -186,8 +184,9 @@ class Runtime : public InvokeBroker {
                          const engine::WasmModule::Config& engine_config,
                          const ModuleLimits& limits);
 
-  // Starts the listener and worker threads. Modules can still be registered
-  // afterwards, but typically are not (the paper loads modules at startup).
+  // Opens the front door and starts the worker threads. Modules can still
+  // be registered afterwards, but typically are not (the paper loads
+  // modules at startup).
   Status start();
   void stop();
 
@@ -207,23 +206,11 @@ class Runtime : public InvokeBroker {
 
   const RuntimeConfig& config() const { return config_; }
   Dispatcher& dispatcher() { return *dispatcher_; }
+  FrontDoor& front_door() { return *front_door_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
-  // True while stop() is letting in-flight sandboxes finish; the listener
-  // sheds new requests with 503 and workers exit once dry.
+  // True while stop() is letting in-flight sandboxes finish; the front
+  // door sheds new requests with 503.
   bool draining() const { return draining_.load(std::memory_order_acquire); }
-
-  // Worker -> listener: hand a kept-alive connection back after a response.
-  // `shard` is the owning listener shard (Sandbox::conn_shard) — each shard
-  // has its own epoll set and parked-Conn table, so the fd must go home.
-  // `gen` is the loan generation (Sandbox::conn_gen), checked by the shard
-  // so messages about a recycled fd number cannot touch a newer loan.
-  void return_connection(int fd, int shard, uint64_t gen);
-  // Worker -> listener: a loaned connection fd was closed worker-side; the
-  // owning shard must discard any parked state (e.g. stashed pipelined
-  // bytes) it still holds for that fd.
-  void forget_connection(int fd, int shard, uint64_t gen);
-  // Resolved shard count (config.num_listeners, 0 -> min(4, cores)).
-  int num_listeners() const;
 
   // ---- Async host I/O (InvokeBroker) ----
   // sb_invoke: admits a child sandbox of module `name` through the normal
@@ -239,10 +226,15 @@ class Runtime : public InvokeBroker {
                            std::vector<uint8_t> request,
                            std::shared_ptr<TransferLoan> loan, size_t req_len,
                            int32_t* err) override;
-  // Pings one worker's (or every worker's) event loop: new injected work,
-  // child completion, or stop. Out-of-range index = no-op.
+  // Pings one worker's event loop: bound work, child completion, or stop.
+  // Out-of-range index = no-op.
   void notify_worker(int index);
-  void notify_workers();
+  // The wake rule after placing a sandbox (`bound` = the worker a placement
+  // policy bound it to, -1 = any worker may fetch it): wake the bound
+  // worker unless it is the placer; for unbound work, wake one idle worker
+  // only when the placer will not fetch it next (it is busy, or older work
+  // is queued ahead). Never a broadcast.
+  void wake_for(int bound, int placer, bool placer_busy);
 
   // Worker -> runtime: per-module latency/failure/kill accounting. Also
   // retires the sandbox from the in-flight count.
@@ -260,7 +252,8 @@ class Runtime : public InvokeBroker {
 
   // ---- Admission control ----
   // The full admit decision for one request of `mod` (global depth, fair
-  // share, expected slack). Listener thread and worker threads (children).
+  // share, expected slack). Called on worker threads (front door and
+  // sb_invoke children).
   AdmitVerdict admission_check(const LoadedModule* mod) const;
   const AdmissionController& admission() const { return admission_; }
   // Sum of tenant weights over registered modules (fair-share denominator).
@@ -320,7 +313,7 @@ class Runtime : public InvokeBroker {
     uint64_t blocked = 0;      // sandboxes parked on an I/O wake condition
     uint64_t woken = 0;        // wakes delivered by worker event loops
     uint64_t invokes = 0;      // child sandboxes admitted via sb_invoke
-    uint64_t accepted = 0;       // connections accepted (all shards)
+    uint64_t accepted = 0;       // connections accepted
     uint64_t accept_errors = 0;  // failed accepts incl. EMFILE sheds
   };
   Totals totals() const;
@@ -368,12 +361,13 @@ class Runtime : public InvokeBroker {
     uint64_t blocked = 0;
     uint64_t woken = 0;
   };
+  // The front door's row (one, id 0).
   struct ListenerSnapshot {
     int id = 0;
     uint64_t accepted = 0;
     uint64_t accept_errors = 0;
-    int64_t open_conns = 0;    // in this shard's epoll set
-    int64_t loaned_conns = 0;  // parked, fd owned by a worker
+    int64_t open_conns = 0;    // open, no admitted request in flight
+    int64_t loaned_conns = 0;  // a sandbox holds the connection's request
   };
   struct StatsSnapshot {
     uint64_t uptime_ns = 0;
@@ -396,13 +390,12 @@ class Runtime : public InvokeBroker {
 
  private:
   friend class Worker;
-  friend class Listener;
 
   // Shared front half of sb_invoke / sb_invoke_stream admission: resolves
-  // the module and applies the same admission control as listener requests.
+  // the module and applies the same admission control as HTTP requests.
   // nullptr = shed (err set); counters already recorded.
   LoadedModule* admit_invoke_module(const std::string& name, int32_t* err);
-  // Per-shard and per-core rows of snapshot(), read from the live objects.
+  // Front-door and per-core rows of snapshot(), read from the live objects.
   std::vector<ListenerSnapshot> listener_snapshots() const;
   std::vector<WorkerSnapshot> worker_snapshots() const;
   // Budget/deadline clipping + I/O config + dataplane flags for an admitted
@@ -417,8 +410,8 @@ class Runtime : public InvokeBroker {
   std::map<std::string, std::unique_ptr<LoadedModule>> modules_;
   std::unique_ptr<Dispatcher> dispatcher_;
   AdmissionController admission_;
+  std::unique_ptr<FrontDoor> front_door_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::unique_ptr<Listener>> listeners_;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<int64_t> inflight_{0};       // admitted, not yet retired
@@ -431,7 +424,7 @@ class Runtime : public InvokeBroker {
   uint64_t start_ns_ = 0;  // stamped by start(); uptime anchor
   int access_log_fd_ = -1;
   Totals retired_totals_;  // accumulated from workers at stop()
-  // Last listener/worker rows, kept at stop() for the shutdown report.
+  // Last front-door/worker rows, kept at stop() for the shutdown report.
   std::vector<ListenerSnapshot> stopped_listeners_;
   std::vector<WorkerSnapshot> stopped_workers_;
 };

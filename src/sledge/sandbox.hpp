@@ -249,16 +249,13 @@ class Sandbox {
   //
   // The broker moves the parent's response channel to the child: exactly
   // one of an HTTP connection or an upstream join transfers.
-  void adopt_connection(int fd, bool keep_alive, int shard, uint64_t gen) {
+  void adopt_connection(int fd, bool keep_alive) {
     conn_fd_ = fd;
     keep_alive_ = keep_alive;
-    conn_shard_ = shard;
-    conn_gen_ = gen;
   }
   void release_connection() {
     conn_fd_ = -1;
     keep_alive_ = false;
-    conn_gen_ = 0;
   }
   std::shared_ptr<InvokeJoin> take_result_join() {
     return std::move(result_join_);
@@ -315,7 +312,7 @@ class Sandbox {
   void mark_killed_undispatched();
 
   // Test-only fault injection: when set and returning true, create() fails
-  // as if sandbox allocation were exhausted (the listener's 503 path).
+  // as if sandbox allocation were exhausted (the front door's 503 path).
   using CreateFaultHook = bool (*)();
   static void set_create_fault_hook(CreateFaultHook hook);
 
@@ -337,14 +334,6 @@ class Sandbox {
   std::vector<uint8_t>& response() { return env_.response; }
   int conn_fd() const { return conn_fd_; }
   bool keep_alive() const { return keep_alive_; }
-  // Listener shard that loaned conn_fd; workers must return/discard the fd
-  // to this shard (each shard has its own epoll set and connection table).
-  int conn_shard() const { return conn_shard_; }
-  void set_conn_shard(int shard) { conn_shard_ = shard; }
-  // Loan generation of conn_fd (stamped by the listener at admission);
-  // echoed in return/discard so recycled fd numbers cannot alias loans.
-  uint64_t conn_gen() const { return conn_gen_; }
-  void set_conn_gen(uint64_t gen) { conn_gen_ = gen; }
   uint64_t wake_at_ns() const { return wake_at_ns_; }
 
   uint64_t created_ns() const { return t_created_; }
@@ -409,9 +398,7 @@ class Sandbox {
   engine::InvokeOutcome outcome_;
 
   std::atomic<SandboxState> state_{SandboxState::kAllocated};
-  int conn_fd_ = -1;
-  int conn_shard_ = 0;
-  uint64_t conn_gen_ = 0;
+  int conn_fd_ = -1;  // the client connection this sandbox holds, or -1
   bool keep_alive_ = false;
 
   ExecStack* stack_ = nullptr;  // pooled: guarded stack + its Context

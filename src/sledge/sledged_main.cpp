@@ -6,7 +6,6 @@
 // {
 //   "port": 8080,            // 0 = pick a free port
 //   "workers": 3,
-//   "num_listeners": 0,      // SO_REUSEPORT accept shards; 0 = min(4, cores)
 //   "quantum_us": 5000,
 //   "policy": "work_stealing",   // | "global_lock" | "per_worker"
 //   "dispatcher": "work_stealing",  // | "global_edf" | "sharded_module"
@@ -71,7 +70,7 @@ Status check_keys(const json::Value& obj,
 Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
   Status keys = check_keys(
       doc,
-      {"port", "workers", "num_listeners", "quantum_us", "policy",
+      {"port", "workers", "quantum_us", "policy",
        "dispatcher", "scheduler", "admission", "instantiation", "tier",
        "bounds", "budget_us", "deadline_us", "max_pending", "drain_grace_ms",
        "max_sandbox_fds", "max_invoke_depth", "invoke_dataplane",
@@ -83,7 +82,6 @@ Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
   runtime::RuntimeConfig cfg;
   cfg.port = static_cast<uint16_t>(doc["port"].as_int(0));
   cfg.workers = static_cast<int>(doc["workers"].as_int(3));
-  cfg.num_listeners = static_cast<int>(doc["num_listeners"].as_int(0));
   cfg.quantum_us = static_cast<uint64_t>(doc["quantum_us"].as_int(5000));
   cfg.execution_budget_ns =
       static_cast<uint64_t>(doc["budget_us"].as_int(0)) * 1000;

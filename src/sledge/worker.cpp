@@ -18,6 +18,7 @@
 #include "engine/host.hpp"
 #include "engine/trap.hpp"
 #include "http/http.hpp"
+#include "sledge/front_door.hpp"
 #include "sledge/runtime.hpp"
 
 namespace sledge::runtime {
@@ -87,8 +88,16 @@ Worker::Worker(Runtime* rt, int index)
 
 Worker::~Worker() { join(); }
 
-void Worker::start() {
+Status Worker::start() {
+  // The event loop is the worker's heartbeat; without it the worker cannot
+  // sleep, park blocked sandboxes or see the front door.
+  Status st = io_loop_.init();
+  if (st.is_ok()) st = io_loop_.nest_ready_set(rt_->front_door().ready_fd());
+  if (!st.is_ok()) return st;
+  drain_front_door_ = policy_->admit_eagerly() ||
+                      rt_->dispatcher().kind() == DispatchPolicy::kGlobalEdf;
   thread_ = std::thread([this] { thread_main(); });
+  return Status::ok();
 }
 
 void Worker::join() {
@@ -144,14 +153,7 @@ void Worker::disarm_timer() {
 void Worker::thread_main() {
   tls_worker = this;
   engine::ensure_sigaltstack();
-
-  // The event loop is the worker's heartbeat; without it the worker cannot
-  // sleep or park blocked sandboxes, so failure is fatal for this core.
-  Status io_st = io_loop_.init();
-  if (!io_st.is_ok()) {
-    SLEDGE_LOG_ERROR("worker %d: %s", index_, io_st.message().c_str());
-    return;
-  }
+  SandboxResourcePool::instance().share_thread_resources();
 
   // FIFO run-to-completion never arms the quantum timer: a dispatched
   // sandbox keeps the core until it completes, blocks, or traps.
@@ -161,19 +163,22 @@ void Worker::thread_main() {
   }
 
   // Idle sleeps are capped so running()/draining() flips are noticed even
-  // if a notify were lost; all expected wake sources (listener push, child
-  // completion, stop) also ping the eventfd, so the cap is a backstop, not
-  // the latency floor.
+  // if a notify were lost; all expected wake sources (a ready front-door
+  // fd, bound work, child completion, stop) wake the loop themselves, so
+  // the cap is a backstop, not the latency floor.
   constexpr uint64_t kIdleSleepCapNs = 20'000'000;  // 20 ms
 
+  FrontDoor& door = rt_->front_door();
   std::vector<Sandbox*> woken;
-  int dry_rounds = 0;
   while (rt_->running()) {
     woken.clear();
     bool writes_ready = false;
-    io_loop_.poll(0, &woken, &writes_ready);
+    bool door_ready = false;
+    io_loop_.poll(0, &woken, &writes_ready, &door_ready);
     admit_woken(&woken);
     pump_writes();
+    if (door_ready) serve_front_door();
+    door.rearm_accept_if_due(now_ns());
     // Published for the invoke-locality slack check (racy by design: a
     // stale value only mis-places one child, which any worker can steal).
     backlog_hint_.store(static_cast<uint32_t>(policy_->size()),
@@ -181,35 +186,37 @@ void Worker::thread_main() {
 
     Sandbox* sb = next_sandbox();
     if (sb) {
-      dry_rounds = 0;
       dispatch(sb);
       continue;
     }
 
-    // Draining and dry (a few re-checks absorb racy failed steals): this
-    // worker's part of the graceful stop is done.
-    if (rt_->draining() && io_loop_.empty() && writes_.empty() &&
-        rt_->dispatcher().backlog_estimate() == 0) {
-      if (++dry_rounds > 16) break;
+    // Nothing runnable: sleep in epoll until the nearest timer/deadline, a
+    // watched fd turns ready (the front door's ready set included), or a
+    // cross-thread notify — no busy-spinning (this is where new-request
+    // dequeueing integrates with scheduling, paper §3.4, now without
+    // burning the core while waiting). Flagging idle before one last fetch
+    // pairs with the placer's fence (Runtime::wake_for): a placement either
+    // sees this worker idle or this fetch sees the placed work.
+    flush_access_log();  // off the hot path: only when the core is idle
+    idle_.store(true, std::memory_order_seq_cst);
+    if (Sandbox* late = next_sandbox()) {
+      idle_.store(false, std::memory_order_relaxed);
+      dispatch(late);
       continue;
     }
-    dry_rounds = 0;
-
-    // Nothing runnable: sleep in epoll until the nearest timer/deadline, a
-    // watched fd turns ready, or a cross-thread notify — no busy-spinning
-    // (this is where new-request dequeueing integrates with scheduling,
-    // paper §3.4, now without burning the core while waiting).
-    flush_access_log();  // off the hot path: only when the core is idle
     uint64_t budget = io_loop_.sleep_budget_ns(now_ns(), kIdleSleepCapNs);
     woken.clear();
     writes_ready = false;
-    io_loop_.poll(budget, &woken, &writes_ready);
+    door_ready = false;
+    io_loop_.poll(budget, &woken, &writes_ready, &door_ready);
+    idle_.store(false, std::memory_order_relaxed);
     admit_woken(&woken);
     if (writes_ready) pump_writes();
+    if (door_ready) serve_front_door();
   }
 
-  // Anything left after the drain grace period is abandoned: connections
-  // die with the process lifetime.
+  // Anything left after the drain grace period is abandoned; so are the
+  // connections of responses still being written.
   Sandbox* sb = nullptr;
   while (rt_->dispatcher().fetch(index_, &sb)) abandon(sb);
   while (Sandbox* s = policy_->pick_next()) abandon(s);
@@ -217,8 +224,7 @@ void Worker::thread_main() {
   io_loop_.drain_all(&blocked);
   for (Sandbox* s : blocked) abandon(s);
   for (WriteJob& w : writes_) {
-    rt_->forget_connection(w.fd, w.shard, w.gen);
-    ::close(w.fd);
+    door.finish(w.fd, /*keep_open=*/false, this);
     rt_->note_write_done();
   }
   writes_.clear();
@@ -227,6 +233,28 @@ void Worker::thread_main() {
   backlog_hint_.store(0, std::memory_order_relaxed);
   if (timer_valid_) ::timer_delete(timer_);
   tls_worker = nullptr;
+}
+
+void Worker::serve_front_door() {
+  // Draining is bounded so a stream of arrivals cannot starve the run queue.
+  constexpr int kMaxDrain = 64;
+  FrontDoor& door = rt_->front_door();
+  for (int n = drain_front_door_ ? kMaxDrain : 1; n > 0; --n) {
+    if (!door.serve_one(this)) break;
+  }
+  if (!writes_.empty()) pump_writes();
+}
+
+void Worker::respond(int fd, std::string header, std::vector<uint8_t> body,
+                     bool keep_alive) {
+  rt_->note_write_queued();
+  writes_.push_back(WriteJob{fd, std::move(header), std::move(body), 0,
+                             keep_alive, RequestTrace{}});
+}
+
+void Worker::admit(Sandbox* sb) {
+  int bound = rt_->dispatcher().push(sb);
+  rt_->wake_for(bound, index_, /*placer_busy=*/policy_->size() > 0);
 }
 
 Sandbox* Worker::next_sandbox() {
@@ -353,8 +381,7 @@ void Worker::finalize(Sandbox* sb) {
     trace.preempts = sb->preempt_count();
     rt_->note_write_queued();
     writes_.push_back(WriteJob{sb->conn_fd(), std::move(header),
-                               std::move(body), 0, sb->keep_alive(),
-                               sb->conn_shard(), sb->conn_gen(), trace});
+                               std::move(body), 0, sb->keep_alive(), trace});
   }
   delete sb;
   pump_writes();
@@ -365,8 +392,8 @@ void Worker::abandon(Sandbox* sb) {
   rt_->note_retired(static_cast<LoadedModule*>(sb->user_tag));
   signal_join(sb, engine::kSbErrChildFailed, /*take_response=*/false);
   if (sb->conn_fd() >= 0) {
-    rt_->forget_connection(sb->conn_fd(), sb->conn_shard(), sb->conn_gen());
-    ::close(sb->conn_fd());  // no response is coming
+    // No response is coming: hang up.
+    rt_->front_door().finish(sb->conn_fd(), /*keep_open=*/false, this);
   }
   delete sb;
 }
@@ -392,67 +419,64 @@ void Worker::signal_join(Sandbox* sb, int32_t status, bool take_response) {
   rt_->notify_worker(join->waiter_worker);
 }
 
-bool Worker::pump_writes() {
-  bool progressed = false;
-  for (size_t i = 0; i < writes_.size();) {
-    WriteJob& w = writes_[i];
-    const size_t total = w.header.size() + w.body.size();
-    bool done = false, dead = false;
-    while (w.offset < total) {
-      // Zero-copy: header and body leave as one writev, no concatenation.
-      iovec iov[2];
-      int cnt = 0;
-      if (w.offset < w.header.size()) {
-        iov[cnt].iov_base =
-            const_cast<char*>(w.header.data()) + w.offset;
-        iov[cnt].iov_len = w.header.size() - w.offset;
-        ++cnt;
-        if (!w.body.empty()) {
-          iov[cnt].iov_base = w.body.data();
-          iov[cnt].iov_len = w.body.size();
+void Worker::pump_writes() {
+  do {
+    finished_.clear();
+    for (size_t i = 0; i < writes_.size();) {
+      WriteJob& w = writes_[i];
+      const size_t total = w.header.size() + w.body.size();
+      bool dead = false;
+      while (w.offset < total) {
+        // Zero-copy: header and body leave as one writev, no concatenation.
+        iovec iov[2];
+        int cnt = 0;
+        if (w.offset < w.header.size()) {
+          iov[cnt].iov_base = const_cast<char*>(w.header.data()) + w.offset;
+          iov[cnt].iov_len = w.header.size() - w.offset;
+          ++cnt;
+          if (!w.body.empty()) {
+            iov[cnt].iov_base = w.body.data();
+            iov[cnt].iov_len = w.body.size();
+            ++cnt;
+          }
+        } else {
+          size_t boff = w.offset - w.header.size();
+          iov[cnt].iov_base = w.body.data() + boff;
+          iov[cnt].iov_len = w.body.size() - boff;
           ++cnt;
         }
-      } else {
-        size_t boff = w.offset - w.header.size();
-        iov[cnt].iov_base = w.body.data() + boff;
-        iov[cnt].iov_len = w.body.size() - boff;
-        ++cnt;
+        msghdr msg{};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = static_cast<size_t>(cnt);
+        ssize_t n = ::sendmsg(w.fd, &msg, MSG_NOSIGNAL);
+        if (n > 0) {
+          w.offset += static_cast<size_t>(n);
+          continue;
+        }
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+        if (n < 0 && errno == EINTR) continue;
+        dead = true;  // peer went away
+        break;
       }
-      msghdr msg{};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = static_cast<size_t>(cnt);
-      ssize_t n = ::sendmsg(w.fd, &msg, MSG_NOSIGNAL);
-      if (n > 0) {
-        w.offset += static_cast<size_t>(n);
-        progressed = true;
+      const bool done = w.offset == total;
+      if (!done && !dead) {
+        io_loop_.watch_write_fd(w.fd);  // EAGAIN: park for EPOLLOUT
+        ++i;
         continue;
       }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      dead = true;  // peer went away
-      break;
-    }
-    if (w.offset == total) done = true;
-
-    if (done || dead) {
       io_loop_.unwatch_write_fd(w.fd);
       complete_write(w, now_ns(), done && !dead);
-      if (done && w.keep_alive && !dead) {
-        rt_->return_connection(w.fd, w.shard, w.gen);
-      } else {
-        rt_->forget_connection(w.fd, w.shard, w.gen);
-        ::close(w.fd);
-      }
+      finished_.emplace_back(w.fd, done && !dead && w.keep_alive);
       rt_->note_write_done();
       writes_[i] = std::move(writes_.back());
       writes_.pop_back();
-      progressed = true;
-    } else {
-      io_loop_.watch_write_fd(w.fd);  // EAGAIN: park for EPOLLOUT
-      ++i;
     }
-  }
-  return progressed;
+    // The writer of a response's last byte serves the connection's next
+    // request, which may queue another response: go round again.
+    for (const auto& [fd, keep_open] : finished_) {
+      rt_->front_door().finish(fd, keep_open, this);
+    }
+  } while (!finished_.empty() && !writes_.empty());
 }
 
 void Worker::complete_write(const WriteJob& w, uint64_t now, bool write_ok) {

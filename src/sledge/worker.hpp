@@ -3,8 +3,10 @@
 // per-worker epoll event loop (IoLoop — the libuv-style loop of paper §4)
 // that parks blocked sandboxes on wake conditions (timers, outbound-socket
 // readiness, child-sandbox completion) and sleeps the core when nothing is
-// runnable. The quantum timer is only armed when the policy allows
-// preemption.
+// runnable. The front door's ready set is nested in that loop: between
+// dispatches the worker takes the next ready client connection and serves
+// it itself (front_door.hpp). The quantum timer is only armed when the
+// policy allows preemption.
 #pragma once
 
 #include <signal.h>
@@ -16,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/status.hpp"
 #include "sledge/context.hpp"
 #include "sledge/io_loop.hpp"
 #include "sledge/sandbox.hpp"
@@ -31,11 +34,25 @@ class Worker {
   Worker(Runtime* rt, int index);
   ~Worker();
 
-  void start();
+  // Initialises the event loop (with the front door's ready set nested in
+  // it) before the thread exists, so notify() is safe as soon as the
+  // worker is reachable, then starts the thread.
+  Status start();
   void join();
 
   // Cross-thread wake: interrupts an idle epoll sleep. Safe from any thread.
   void notify() { io_loop_.notify(); }
+  // True while the worker sleeps in epoll with nothing runnable.
+  bool idle() const { return idle_.load(std::memory_order_seq_cst); }
+
+  // ---- Front-door hooks (called on this worker's thread) ----
+  // Queues a control-path response on this worker's writer; the connection
+  // stays held until its last byte is out (then FrontDoor::finish).
+  void respond(int fd, std::string header, std::vector<uint8_t> body,
+               bool keep_alive);
+  // Hands an admitted sandbox to the Dispatcher and wakes only a worker a
+  // placement policy bound it to (this one fetches next otherwise).
+  void admit(Sandbox* sb);
 
   // Racy snapshot of this worker's runnable backlog (policy queue + the
   // sandbox on core), refreshed each scheduler iteration. The invoke
@@ -90,9 +107,7 @@ class Worker {
     std::vector<uint8_t> body;
     size_t offset = 0;
     bool keep_alive = false;
-    int shard = 0;      // owning listener shard (fd return address)
-    uint64_t gen = 0;   // loan generation (echoed on return/discard)
-    RequestTrace trace;
+    RequestTrace trace;  // mod == nullptr: a front-door control response
   };
 
   void thread_main();
@@ -103,10 +118,14 @@ class Worker {
   // Re-enqueues sandboxes the IoLoop handed back from poll().
   void admit_woken(std::vector<Sandbox*>* woken);
   // Completes (or errors out) a child sandbox's InvokeJoin and pings the
-  // parent's worker. No-op for listener-originated sandboxes.
+  // parent's worker. No-op for front-door sandboxes.
   void signal_join(Sandbox* sb, int32_t status, bool take_response);
-  // Returns true if any write made progress or completed.
-  bool pump_writes();
+  // Writes what the sockets take; each finished response hands its
+  // connection on (FrontDoor::finish), which may queue more responses.
+  void pump_writes();
+  // Takes ready front-door fds: one per scheduling iteration, or every
+  // ready one when deadline order must see the whole candidate set.
+  void serve_front_door();
   // A flushed (or failed) response: record the response_write phase and
   // append the structured access-log line to the worker-local buffer.
   void complete_write(const WriteJob& w, uint64_t now, bool write_ok);
@@ -127,12 +146,17 @@ class Worker {
   std::unique_ptr<SchedulerPolicy> policy_;
   IoLoop io_loop_;
   std::vector<WriteJob> writes_;
+  std::vector<std::pair<int, bool>> finished_;  // pump_writes scratch
+  // Drain every ready front-door fd before fetching (EDF policy or the
+  // global-EDF dispatcher) rather than one per iteration.
+  bool drain_front_door_ = false;
   std::string access_buf_;  // buffered access-log lines (flushed off-path)
 
   timer_t timer_{};
   bool timer_valid_ = false;
 
   std::atomic<uint32_t> backlog_hint_{0};
+  std::atomic<bool> idle_{false};
 
   Stats stats_;
 };

@@ -348,7 +348,7 @@ TEST(ShardedDispatcherTest, ModuleAlwaysLandsOnSameWorker) {
 //
 // The full-server soak lives in dispatch_test.cpp (the SIGALRM quantum
 // timer is not sanitizer-trackable); this one exercises the same dispatcher and
-// predictor concurrency with real threads: one listener-like pusher, three
+// predictor concurrency with real threads: one front-door pusher, three
 // worker-side injectors, four fetching workers, 2k sandboxes of mixed
 // deadlines, plus concurrent predictor reads against a recording writer.
 class DispatcherSoakTest : public ::testing::TestWithParam<DispatchPolicy> {};
@@ -379,7 +379,7 @@ TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
         owned.push_back(std::move(sb));
       }
       if (via_push) {
-        d->push(raw);  // single pusher: the listener-thread contract
+        d->push(raw);  // front-door admission
       } else {
         d->inject(raw);
       }
@@ -402,7 +402,7 @@ TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
 
   // Concurrent predictor traffic rides along: a writer recording mixed
   // samples with lock-free readers polling the published p99s (the
-  // listener-vs-worker interaction on the admit path).
+  // admit-path vs. retire-path interaction).
   SlackPredictor predictor;
   std::atomic<bool> stop_predictor{false};
   std::thread predictor_writer([&] {

@@ -235,22 +235,17 @@ TEST(GlobalEdfOrderTest, BurstCompletesInDeadlineOrder) {
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(status, 200);
   });
-  // Wait until the blocker is admitted (and, with an idle worker, fetched
-  // immediately) before the burst: the stats endpoint runs on the listener
-  // thread, so it stays responsive while the single worker spins.
-  auto wait_inflight = [&](int64_t want) {
-    for (int i = 0; i < 500; ++i) {
-      if (scrape_json(rt.bound_port())["inflight"].as_int() >= want) {
-        return true;
-      }
-      ::usleep(1'000);
-    }
-    return false;
-  };
-  ASSERT_TRUE(wait_inflight(1));
-  ::usleep(5'000);  // the idle worker has certainly fetched it by now
+  // The single worker admits the blocker and then spins in it, run to
+  // completion; the front door is served by that same worker, so nothing
+  // answers until the blocker finishes. Wait until it holds the core.
+  for (int i = 0; i < 500 && rt.inflight() < 1; ++i) ::usleep(1'000);
+  ASSERT_EQ(rt.inflight(), 1);
 
-  // Burst in REVERSE deadline order: loosest first.
+  // Burst in REVERSE deadline order: loosest first. The requests wait in
+  // the front door's ready set while the blocker runs; once it finishes,
+  // the worker (global-EDF: it drains the ready set before fetching)
+  // admits all three into the heap, so their completion order can only be
+  // deadline order — arrival order would be d300 first.
   std::vector<std::thread> burst;
   for (int i = 2; i >= 0; --i) {
     burst.emplace_back([&, i] {
@@ -263,9 +258,8 @@ TEST(GlobalEdfOrderTest, BurstCompletesInDeadlineOrder) {
     });
     ::usleep(2'000);  // keep client-side send order deterministic
   }
-  // All three burst requests must be queued in the heap while the blocker
-  // still holds the core — otherwise deadline order is vacuous.
-  ASSERT_TRUE(wait_inflight(4)) << "burst not fully queued behind blocker";
+  // Still blocked: no burst request can have been admitted yet.
+  EXPECT_EQ(rt.inflight(), 1) << "burst admitted while the blocker ran";
   for (auto& t : burst) t.join();
   blocker.join();
   rt.stop();  // flushes worker access-log buffers
@@ -291,9 +285,12 @@ TEST(GlobalEdfOrderTest, BurstCompletesInDeadlineOrder) {
 
 // One hot module flooding from 6 clients against a cold tenant issuing
 // sequential requests. With max_pending=8 and equal weights each module's
-// share is 4 slots, so the hot module saturates at 4 in flight (admission
-// is listener-serial) and the cold module's slots can never be taken: all
-// 20 cold requests MUST succeed while the hot module visibly sheds.
+// share is 4 slots. A hot request spins for several quanta, so round-robin
+// preemption hands the worker back to the front door mid-request and the
+// hot backlog grows until the module saturates its share (concurrent
+// admissions on the two workers can overshoot it by one); the cold
+// module's slots can never be taken: all 20 cold requests MUST succeed
+// while the hot module visibly sheds.
 TEST(FairShareTest, ColdTenantNeverStarved) {
   RuntimeConfig cfg;
   cfg.workers = 2;
@@ -301,7 +298,7 @@ TEST(FairShareTest, ColdTenantNeverStarved) {
   cfg.admission = AdmissionPolicy::kExpectedSlack;
   Runtime rt(cfg);
   ASSERT_TRUE(
-      rt.register_module("hot", compile(testutil::spin_src(2'000'000)))
+      rt.register_module("hot", compile(testutil::spin_src(20'000'000)))
           .is_ok());
   ASSERT_TRUE(rt.register_module("cold", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
@@ -351,7 +348,7 @@ TEST(FairShareTest, ColdTenantNeverStarved) {
 
 // Warm the predictor with an unconstrained module, then tighten its
 // deadline below the observed exec p99: every subsequent request must be
-// rejected 504-early from the listener — without ever building a sandbox
+// rejected 504-early by the front door — without ever building a sandbox
 // (startup histogram frozen), with Retry-After, and honoring keep-alive.
 TEST(SlackAdmissionTest, Early504ConsumesNoSandboxSlot) {
   RuntimeConfig cfg;

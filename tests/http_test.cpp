@@ -331,7 +331,7 @@ TEST(RequestParserTest, UnsupportedTransferEncodingRejected) {
 // Randomized pipelined streams — Content-Length bodies of arbitrary size,
 // duplicate same-value Content-Length, chunked requests with extensions and
 // trailers, noise headers — fed at random split points. The contract the
-// listener depends on: the parser reports every request exactly once, in
+// front door depends on: the parser reports every request exactly once, in
 // order, with byte-exact bodies, and always makes progress (a stall would
 // wedge a keep-alive connection forever).
 

@@ -444,10 +444,10 @@ int main() {
   ASSERT_TRUE(rt.start().is_ok());
 
   // One long-lived keep-alive connection. Each round writes TWO pipelined
-  // requests in a single send: request 1 is admitted and its fd loaned to a
-  // worker with request 2's bytes parked; the loan return must reattach
-  // that parked state (gen match) for request 2 to ever be served. Rounds
-  // repeat on the same fd, so its loan generation climbs every round.
+  // requests in a single send: request 1 is admitted into a sandbox with
+  // request 2's bytes buffered on the connection; the worker that writes
+  // response 1 must parse them in place for request 2 to ever be served.
+  // Rounds repeat on the same fd.
   int fd = raw_connect(rt.bound_port());
   std::string carry;
   constexpr int kRounds = 40;
@@ -469,10 +469,9 @@ int main() {
     EXPECT_EQ(body, b);
   }
 
-  // Every loaned fd came home: the shard ledgers must read zero. The scrape
-  // rides the same connection, so its shard parses it only after the last
-  // loan's return was booked (reattach_connection): no race with the
-  // worker's hand-back.
+  // No sandbox holds a request any more: the front-door ledger must read
+  // zero. The scrape rides the same connection, so it is parsed only after
+  // the last response was written and its loan booked back: no race.
   ASSERT_TRUE(send_all(fd, "GET /admin/stats HTTP/1.1\r\n\r\n"));
   int status = 0;
   std::string body;
@@ -481,16 +480,15 @@ int main() {
   ::close(fd);
   auto doc = json::parse(body);
   ASSERT_TRUE(doc.ok()) << doc.error_message();
-  for (const json::Value& shard : (*doc)["listeners"].as_array()) {
-    EXPECT_EQ(shard["loaned_conns"].as_int(-1), 0);
+  for (const json::Value& row : (*doc)["listeners"].as_array()) {
+    EXPECT_EQ(row["loaned_conns"].as_int(-1), 0);
   }
   rt.stop();
 }
 
 // Regression (PR 7 teardown hunt, bugs b+c): stop() while chains are still
 // in flight. Admitted-but-never-fetched children are drained (their joins
-// signalled, their fds closed) instead of leaking, and the listener's
-// returned/discarded queues are flushed at destruction. Heap checkers
+// signalled, their connections closed) instead of leaking. Heap checkers
 // (ASan / MALLOC_CHECK_) turn any double-close or leak into a hard fail.
 TEST(InvokeDataplaneTest, StopWhileChainsInFlightDrainsCleanly) {
   const char* kSlowChainSrc = R"(

@@ -191,7 +191,7 @@ TEST(InvokeSoakTest, HintedInjectRoutesAndOverflows) {
   EXPECT_EQ(from_worker1, 16);  // the hinted 16 stayed home
 }
 
-// Concurrency contract of the hinted path: racing producers (listener push,
+// Concurrency contract of the hinted path: racing producers (front-door push,
 // unhinted inject, hinted inject to every worker) against racing consumers;
 // every sandbox fetched exactly once, none invented, none lost.
 TEST(InvokeSoakTest, HintedInjectNoLossNoDupUnderRace) {
@@ -210,7 +210,7 @@ TEST(InvokeSoakTest, HintedInjectNoLossNoDupUnderRace) {
       uintptr_t lo = 1 + static_cast<uintptr_t>(p) * kPerProducer;
       for (uintptr_t i = lo; i < lo + kPerProducer; ++i) {
         if (p == 0) {
-          d.push(tag(i));  // the listener-shard front door
+          d.push(tag(i));  // front-door admission
         } else {
           // Hinted and unhinted side entrances, hint cycling all workers.
           int hint = static_cast<int>(rng.below(kWorkers + 1)) - 1;

@@ -1,18 +1,23 @@
-// Sanitizer-safe multi-shard listener soak: exercises every listener
-// control path (404, alloc-fault 503, chunked 501, malformed
-// Content-Length 400, /admin scrapes) across two SO_REUSEPORT shards with
-// interleaved keep-alive connections — without ever *executing* a sandbox,
-// so no SIGALRM preemption runs under tsan/asan. This
-// is the suite the `tsan-listener` preset races: shard epoll loops, batched
-// admission, the writev control path, and the cross-thread stats plane.
+// Sanitizer-safe front-door soak: exercises every control path (404,
+// alloc-fault 503, chunked 501, malformed Content-Length 400, /admin
+// scrapes) with pipelined keep-alive connections handed between two
+// workers through the shared EPOLLONESHOT ready set, plus a ping soak whose
+// sandboxes run under FIFO scheduling (real green-thread switches, no
+// SIGALRM quantum timer, which sanitizers cannot deliver in place). This
+// is the suite the `tsan-listener` preset races: the one-holder hand-offs
+// (take, re-arm, dispatcher hand-off, parse-in-place after a response),
+// the writev control path, and the cross-thread stats plane.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -84,24 +89,33 @@ bool recv_response(int fd, int* status, std::string* body,
   }
 }
 
-TEST(ListenerSoakTest, TwoShardControlPathSoak) {
+int count_open_fds() {
+  int n = 0;
+  DIR* d = ::opendir("/proc/self/fd");
+  if (!d) return -1;
+  while (::readdir(d) != nullptr) ++n;
+  ::closedir(d);
+  return n;
+}
+
+TEST(ListenerSoakTest, ControlPathSoak) {
   RuntimeConfig cfg;
   cfg.workers = 2;
-  cfg.num_listeners = 2;
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
 
   // Every admitted /ping fails sandbox allocation for the whole soak: the
-  // listener answers 503 inline and no sandbox ever runs (sanitizer-safe).
+  // holder answers 503 inline and no sandbox ever runs.
   testutil::ScopedSandboxAllocFault fault;
 
   constexpr int kRounds = 100;
   uint64_t n404 = 0, n503 = 0, n501 = 0, n400 = 0;
   for (int r = 0; r < kRounds; ++r) {
-    // One keep-alive connection per round, four requests pipelined through
-    // the shard the kernel picked: 404, 503, chunked 501, then a closing
-    // 404. A parse desync or wrong-shard return breaks the sequence.
+    // One keep-alive connection per round, four requests pipelined in one
+    // write: 404, 503, chunked 501, then a closing 404, each parsed in place
+    // by the writer of the previous answer. A parse desync or a lost
+    // buffered request breaks the sequence.
     int fd = raw_connect(rt.bound_port());
     const std::string burst =
         "POST /ghost HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
@@ -144,8 +158,9 @@ TEST(ListenerSoakTest, TwoShardControlPathSoak) {
   EXPECT_EQ(n400, static_cast<uint64_t>(kRounds / 10));
 
   // The runtime's books agree: every 503 was a shed, nothing completed or
-  // failed (no sandbox ever executed), and the shard counters aggregate to
-  // the totals under concurrent scraping.
+  // failed (no sandbox ever executed), and the front-door row matches the
+  // totals. Once the server has seen every client close, the scrape's own
+  // connection is the only one open, and no sandbox holds a request.
   Runtime::Totals t = rt.totals();
   EXPECT_EQ(t.shed, n503);
   EXPECT_EQ(t.completed, 0u);
@@ -153,38 +168,37 @@ TEST(ListenerSoakTest, TwoShardControlPathSoak) {
   EXPECT_EQ(t.accepted, static_cast<uint64_t>(kRounds) + n400);
   EXPECT_EQ(rt.inflight(), 0);
 
+  for (int i = 0; i < 2000; ++i) {
+    const Runtime::ListenerSnapshot row = rt.snapshot().listeners.at(0);
+    if (row.open_conns + row.loaned_conns == 0) break;
+    ::usleep(1000);
+  }
   auto body = loadgen::http_get("127.0.0.1", rt.bound_port(), "/admin/stats");
   ASSERT_TRUE(body.ok()) << body.error_message();
   auto doc = json::parse(*body);
   ASSERT_TRUE(doc.ok()) << doc.error_message();
-  const json::Array& shards = (*doc)["listeners"].as_array();
-  ASSERT_EQ(shards.size(), 2u);
-  int64_t accepted = 0;
-  for (const json::Value& shard : shards) {
-    accepted += shard["accepted"].as_int(0);
-    EXPECT_EQ(shard["loaned_conns"].as_int(-1), 0);
-  }
-  EXPECT_EQ(accepted, static_cast<int64_t>(kRounds + n400) + 1);
+  const json::Array& rows = (*doc)["listeners"].as_array();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0]["accepted"].as_int(0),
+            static_cast<int64_t>(kRounds + n400) + 1);
+  EXPECT_EQ(rows[0]["open_conns"].as_int(-1), 1);
+  EXPECT_EQ(rows[0]["loaned_conns"].as_int(-1), 0);
 
   rt.stop();
 }
 
-// Teardown regression (the PR-7 ~1/15 heap abort hunt): repeated full
-// runtime start/stop cycles with connections still open — some idle, some
-// holding half-written requests, some with a full pipelined burst in
-// flight — at the moment stop() runs. The original abort did not reproduce
-// in 80 instrumented 9.8k-connection soaks, but static inspection found
-// three shutdown-ordering bugs (stale fd-recycle discards, sandboxes
-// stranded by the listener's final admission flush, and undrained
-// return/discard queues at listener destruction); this cycle drives those
-// paths every iteration, and heap checkers turn any double-close or leak
-// into a hard fail.
+// Teardown regression: repeated full runtime start/stop cycles with
+// connections still open — some answered and idle, some holding
+// half-written requests, some never used — at the moment stop() runs. The
+// front door is destroyed underneath them; heap checkers turn any
+// double-close or leak into a hard fail, and the process fd count must
+// come back to where it was before each cycle.
 TEST(ListenerSoakTest, ShutdownWithConnectionsInEveryState) {
   testutil::ScopedSandboxAllocFault fault;  // no sandbox ever executes
   for (int cycle = 0; cycle < 10; ++cycle) {
+    const int fds_before = count_open_fds();
     RuntimeConfig cfg;
     cfg.workers = 2;
-    cfg.num_listeners = 2;
     Runtime rt(cfg);
     ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
     ASSERT_TRUE(rt.start().is_ok());
@@ -203,7 +217,7 @@ TEST(ListenerSoakTest, ShutdownWithConnectionsInEveryState) {
             EXPECT_EQ(status, 503);  // alloc fault: shed inline
           }
           break;
-        case 1:  // half-written request parked in the shard's parser
+        case 1:  // half-written request parked in the connection's parser
           ASSERT_TRUE(send_all(fd, "POST /ping HTTP/1.1\r\nContent-Le"));
           break;
         case 2:  // idle keep-alive connection
@@ -211,12 +225,57 @@ TEST(ListenerSoakTest, ShutdownWithConnectionsInEveryState) {
       }
       fds.push_back(fd);
     }
-    // Stop with every connection still open; the shards and their queues
-    // are destroyed underneath them.
+    // Stop with every connection still open.
     rt.stop();
     for (int fd : fds) ::close(fd);
     EXPECT_EQ(rt.inflight(), 0);
+    EXPECT_EQ(count_open_fds(), fds_before) << "cycle " << cycle;
   }
+}
+
+// Real sandboxes across the hand-offs: four client threads, each on its own
+// keep-alive connection, send pings two at a time in one write, so the
+// second is always buffered when the first response completes. Three
+// workers run the sandboxes run-to-completion (FIFO: no quantum timer).
+TEST(ListenerSoakTest, FifoPingSoakAcrossWorkers) {
+  RuntimeConfig cfg;
+  cfg.workers = 3;
+  cfg.sched = SchedPolicy::kFifoRunToCompletion;
+  Runtime rt(cfg);
+  ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+
+  constexpr int kClients = 4;
+  constexpr int kPairs = 50;
+  std::vector<std::thread> clients;
+  std::atomic<int> ok{0};
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&] {
+      int fd = raw_connect(rt.bound_port());
+      const std::string two =
+          "POST /ping HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+          "POST /ping HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+      std::string carry;
+      for (int i = 0; i < kPairs; ++i) {
+        if (!send_all(fd, two)) break;
+        for (int k = 0; k < 2; ++k) {
+          int status = 0;
+          std::string body;
+          if (recv_response(fd, &status, &body, &carry) && status == 200 &&
+              body == "p") {
+            ok.fetch_add(1);
+          }
+        }
+      }
+      ::close(fd);
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(ok.load(), kClients * kPairs * 2);
+  rt.stop();
+  EXPECT_EQ(rt.totals().completed,
+            static_cast<uint64_t>(kClients * kPairs * 2));
+  EXPECT_EQ(rt.inflight(), 0);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// Listener front-door tests: the SO_REUSEPORT shard fan-out and the
-// data-path bugfixes it exposed — chunked requests answered 501 without
-// desyncing the pipelined byte stream, strict Content-Length (400 on
-// malformed / conflicting values), the EMFILE accept livelock (reserve-fd
-// shed + bounded CPU + recovery), shard-correct loan/return of kept-alive
-// connections, and a 2k-connection mixed-status soak that reconciles
-// exactly against runtime counters and the /admin/stats shard aggregates.
+// Front-door tests: the one-holder ready set the workers share, and its
+// data-path guarantees — chunked requests
+// answered 501 without desyncing the pipelined byte stream, strict
+// Content-Length (400 on malformed / conflicting values), the EMFILE
+// accept livelock (reserve-fd shed + bounded CPU + recovery), pipelined
+// requests already buffered when the previous response completes (served
+// in place by whichever worker wrote that response, chain3 stream children
+// included), no fd left behind by stop(), and a 2k-connection
+// mixed-status soak that reconciles exactly against runtime counters and
+// the /admin/stats front-door row.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "apps/workloads.hpp"
 #include "common/json.hpp"
 #include "loadgen/loadgen.hpp"
 #include "minicc/minicc.hpp"
@@ -104,7 +108,6 @@ json::Value scrape_json(uint16_t port) {
 TEST(ListenerTest, ChunkedRequest501ThenPipelinedRequestSurvives) {
   RuntimeConfig cfg;
   cfg.workers = 1;
-  cfg.num_listeners = 1;
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
@@ -138,7 +141,6 @@ TEST(ListenerTest, ChunkedRequest501ThenPipelinedRequestSurvives) {
 TEST(ListenerTest, MalformedContentLengthAnswered400) {
   RuntimeConfig cfg;
   cfg.workers = 1;
-  cfg.num_listeners = 1;
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
@@ -212,7 +214,6 @@ struct ScopedFdPressure {
 TEST(ListenerTest, EmfileAcceptShedsAndRecovers) {
   RuntimeConfig cfg;
   cfg.workers = 1;
-  cfg.num_listeners = 1;
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
@@ -242,8 +243,8 @@ TEST(ListenerTest, EmfileAcceptShedsAndRecovers) {
   ASSERT_EQ(errno, EMFILE);
 
   // The connection now pending in the accept backlog cannot get a normal
-  // fd: the listener must shed it through its reserve fd (accept-and-close)
-  // instead of spinning on the level-triggered EPOLLIN forever.
+  // fd: the front door must shed it through its reserve fd (accept-and-
+  // close) instead of spinning on the listen socket forever.
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(rt.bound_port());
@@ -262,15 +263,15 @@ TEST(ListenerTest, EmfileAcceptShedsAndRecovers) {
   ssize_t r = ::recv(probe, &c, 1, 0);
   EXPECT_LE(r, 0);
 
-  // Livelock regression: under persistent fd pressure the listener's CPU
-  // stays bounded (the old code spun accept->EMFILE->return at 100%).
+  // Livelock regression: under persistent fd pressure the front door's
+  // CPU stays bounded (the old code spun accept->EMFILE->return at 100%).
   uint64_t cpu0 = process_cpu_ns();
   uint64_t wall0 = now_ns();
   ::usleep(300'000);
   uint64_t cpu_spent = process_cpu_ns() - cpu0;
   uint64_t wall_spent = now_ns() - wall0;
   EXPECT_LT(cpu_spent, wall_spent / 2)
-      << "listener burned " << cpu_spent << "ns CPU over " << wall_spent
+      << "front door burned " << cpu_spent << "ns CPU over " << wall_spent
       << "ns wall under fd pressure";
 
   // Recovery: free the fds, lift the limit — the next request must be
@@ -283,64 +284,133 @@ TEST(ListenerTest, EmfileAcceptShedsAndRecovers) {
   rt.stop();
 }
 
-// ---- Shard-aware loan/return ----
+// ---- Pipelined successors buffered behind a response ----
 
-TEST(ListenerTest, TwoShardsPipelinedKeepAliveReturnsToOwningShard) {
+// Each connection sends two requests in one write, then nothing more: the
+// second request's bytes arrive with the first and are already buffered
+// when the first response's last byte goes out. The worker that wrote it
+// must parse them in place — re-arming the fd instead would wait for bytes
+// that never come and hang the second response.
+void ExpectBufferedSuccessorsServed(Runtime* rt, const std::string& target,
+                                    const std::string& payload) {
+  constexpr int kConns = 12;
+  std::vector<int> fds;
+  for (int i = 0; i < kConns; ++i) fds.push_back(raw_connect(rt->bound_port()));
+  const std::string len = std::to_string(payload.size());
+  const std::string two =
+      "POST " + target + " HTTP/1.1\r\nContent-Length: " + len + "\r\n\r\n" +
+      payload + "POST " + target + " HTTP/1.1\r\nContent-Length: " + len +
+      "\r\nConnection: close\r\n\r\n" + payload;
+  for (int fd : fds) ASSERT_TRUE(send_all(fd, two));
+  for (int fd : fds) {
+    std::string carry;
+    for (int k = 0; k < 2; ++k) {
+      int status = 0;
+      std::string body;
+      ASSERT_TRUE(recv_response(fd, &status, &body, &carry)) << target << k;
+      EXPECT_EQ(status, 200);
+      EXPECT_EQ(body, payload);
+    }
+    ::close(fd);
+  }
+}
+
+TEST(ListenerTest, BufferedPipelinedRequestServedInPlace) {
   RuntimeConfig cfg;
   cfg.workers = 2;
-  cfg.num_listeners = 2;
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
+  ExpectBufferedSuccessorsServed(&rt, "/ping", "p");
 
-  // Several connections, spread by the kernel across the two REUSEPORT
-  // shards. Each sends two pipelined function requests in one write: the
-  // second request's bytes arrive while the fd is loaned to a worker, land
-  // in the owning shard's stash, and must replay on that shard when the
-  // worker returns the fd. A wrong-shard return would orphan the stash and
-  // hang the second response.
-  constexpr int kConns = 8;
-  std::vector<int> fds;
-  for (int i = 0; i < kConns; ++i) fds.push_back(raw_connect(rt.bound_port()));
-  const std::string two =
-      "POST /ping HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
-      "POST /ping HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
-  for (int fd : fds) ASSERT_TRUE(send_all(fd, two));
-  for (int fd : fds) {
-    int status = 0;
-    std::string body, carry;
-    ASSERT_TRUE(recv_response(fd, &status, &body, &carry));
-    EXPECT_EQ(status, 200);
-    EXPECT_EQ(body, "p");
-    ASSERT_TRUE(recv_response(fd, &status, &body, &carry));
-    EXPECT_EQ(status, 200);
-    EXPECT_EQ(body, "p");
-    ::close(fd);
-  }
-
-  // /admin/stats aggregates across shards: two listener entries whose
-  // accepted counts sum to every connection opened (ours + this scrape).
+  // /admin/stats shows the one front-door row: every connection opened
+  // (ours + this scrape) was accepted there.
   json::Value stats = scrape_json(rt.bound_port());
-  const json::Array& shards = stats["listeners"].as_array();
-  ASSERT_EQ(shards.size(), 2u);
-  int64_t accepted = 0;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    accepted += shards[i]["accepted"].as_int(0);
-    EXPECT_EQ(shards[i]["id"].as_int(-1), static_cast<int64_t>(i));
-  }
-  EXPECT_EQ(accepted, kConns + 1);
-  EXPECT_EQ(stats["totals"]["accepted"].as_int(0), accepted);
+  const json::Array& rows = stats["listeners"].as_array();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0]["id"].as_int(-1), 0);
+  EXPECT_EQ(rows[0]["accepted"].as_int(0), 12 + 1);
+  EXPECT_EQ(stats["totals"]["accepted"].as_int(0), 12 + 1);
 
   rt.stop();
-  EXPECT_EQ(rt.totals().completed, 2u * kConns);
+  EXPECT_EQ(rt.totals().completed, 2u * 12);
+}
+
+// The same with chain3 -> relay -> echo stream hand-offs: the response is
+// written by the echo child, two stages downstream of the sandbox the
+// front door admitted. Module-sharded placement pins each stage to its own
+// worker while the front door's taker varies per connection, so most
+// responses are written (and the buffered successor parsed) by a worker
+// that did not read the first request.
+TEST(ListenerTest, BufferedPipelinedRequestServedBehindChain3) {
+  RuntimeConfig cfg;
+  cfg.workers = 3;
+  cfg.dispatcher = DispatchPolicy::kShardedByModule;
+  Runtime rt(cfg);
+  for (const char* m : {"chain3", "relay", "echo"}) {
+    auto src = apps::load_app_source(m);
+    ASSERT_TRUE(src.ok()) << src.error_message();
+    ASSERT_TRUE(rt.register_module(m, compile(src.value().c_str())).is_ok());
+  }
+  ASSERT_TRUE(rt.start().is_ok());
+  ExpectBufferedSuccessorsServed(&rt, "/chain3", "buffered behind a chain");
+  rt.stop();
+  EXPECT_EQ(rt.totals().invokes, 2u * 2 * 12);  // relay + echo per request
+  EXPECT_EQ(rt.snapshot().pool.transfer_outstanding, 0u);
+}
+
+// ---- No fd outlives the runtime ----
+
+// /proc/self/fd counts before start() and after stop() must match with
+// connections in every state at stop: idle, half-written, a sandbox
+// sleeping in flight, and a pipelined pair. A warm-up runtime runs first so
+// that process-lifetime fds opened lazily on first use are not counted.
+TEST(ListenerTest, FdCountMatchesBeforeStartAndAfterStop) {
+  const char* kSleepSrc = R"(
+char out[1];
+int main() { sleep_ms(50); out[0] = 122; resp_write(out, 1); return 0; }
+)";
+  auto run = [&](bool leave_open) {
+    RuntimeConfig cfg;
+    cfg.workers = 2;
+    cfg.drain_grace_ns = 10'000'000;  // the sleeper may be abandoned
+    Runtime rt(cfg);
+    ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
+    ASSERT_TRUE(rt.register_module("sleep", compile(kSleepSrc)).is_ok());
+    ASSERT_TRUE(rt.start().is_ok());
+    auto ok = loadgen::single_request("127.0.0.1", rt.bound_port(), "/ping",
+                                      {});
+    ASSERT_TRUE(ok.ok()) << ok.error_message();
+    std::vector<int> fds;
+    if (leave_open) {
+      fds.push_back(raw_connect(rt.bound_port()));  // idle
+      fds.push_back(raw_connect(rt.bound_port()));  // half-written
+      ASSERT_TRUE(send_all(fds.back(), "POST /ping HTTP/1.1\r\nConte"));
+      fds.push_back(raw_connect(rt.bound_port()));  // sandbox in flight
+      ASSERT_TRUE(send_all(fds.back(),
+                           "POST /sleep HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
+      fds.push_back(raw_connect(rt.bound_port()));  // pipelined pair
+      ASSERT_TRUE(send_all(fds.back(),
+                           "POST /ping HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+                           "POST /ping HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
+      ::usleep(5'000);
+    }
+    rt.stop();
+    for (int fd : fds) ::close(fd);
+    EXPECT_EQ(rt.inflight(), 0);
+  };
+  run(false);  // warm-up
+  const int before = count_open_fds();
+  ASSERT_GT(before, 0);
+  run(true);
+  EXPECT_EQ(count_open_fds(), before);
 }
 
 // ---- 2k-connection mixed-status soak: exact reconciliation ----
 
-TEST(ListenerTest, TwoShardSoak2kConnectionsReconcilesExactly) {
+TEST(ListenerTest, Soak2kConnectionsReconcilesExactly) {
   RuntimeConfig cfg;
   cfg.workers = 2;
-  cfg.num_listeners = 2;
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
@@ -386,18 +456,12 @@ TEST(ListenerTest, TwoShardSoak2kConnectionsReconcilesExactly) {
   EXPECT_EQ(t.accept_errors, 0u);
   EXPECT_EQ(rt.inflight(), 0);
 
-  // And against the shard aggregates exposed over /admin/stats: both shards
-  // saw traffic, and their sum matches the totals.
+  // And against the front-door row exposed over /admin/stats (ours + this
+  // scrape).
   json::Value stats = scrape_json(rt.bound_port());
-  const json::Array& shards = stats["listeners"].as_array();
-  ASSERT_EQ(shards.size(), 2u);
-  int64_t accepted = 0;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    int64_t shard = shards[i]["accepted"].as_int(0);
-    EXPECT_GT(shard, 0) << "shard " << i << " never accepted";
-    accepted += shard;
-  }
-  EXPECT_EQ(accepted, 4 * kRounds + 1);
+  const json::Array& rows = stats["listeners"].as_array();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0]["accepted"].as_int(0), 4 * kRounds + 1);
 
   rt.stop();
   EXPECT_EQ(rt.totals().completed, n200);  // stable across stop()

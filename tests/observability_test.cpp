@@ -1,7 +1,7 @@
 // Observability-plane tests: live /admin/stats (JSON) and /admin/metrics
 // (Prometheus) endpoints, per-request phase tracing (queue_wait / startup /
 // exec_cpu / response_write histograms and their consistency), the
-// structured access log, and the listener data-path bugfixes — pipelined
+// structured access log, and the front-door data-path bugfixes — pipelined
 // request bytes are replayed instead of dropped, and control-path
 // responses (404/503) survive short writes to slow readers intact.
 #include <gtest/gtest.h>
@@ -299,13 +299,12 @@ TEST(ObservabilityTest, LoadgenScrapesServerStats) {
   rt.stop();
 }
 
-// stop() destroys the listeners and workers before the shutdown report is
+// stop() destroys the front door and workers before the shutdown report is
 // rendered; their last rows must still be in it, with the counts they ended
 // on.
 TEST(ObservabilityTest, ShutdownReportKeepsListenerAndWorkerLines) {
   RuntimeConfig cfg;
   cfg.workers = 1;
-  cfg.num_listeners = 1;
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
@@ -384,7 +383,7 @@ TEST(ObservabilityTest, PipelinedRequestsOnOneConnectionAllAnswered) {
   ASSERT_TRUE(rt.start().is_ok());
 
   int fd = raw_connect(rt.bound_port());
-  // Six requests in one burst of bytes: before the fix the listener threw
+  // Six requests in one burst of bytes: before the fix the front door threw
   // away everything after the first admitted request, hanging the client.
   std::string burst;
   for (int i = 0; i < 6; ++i) {
@@ -413,7 +412,7 @@ TEST(ObservabilityTest, PipelinedMixOfSandboxAndListenerResponses) {
   ASSERT_TRUE(rt.start().is_ok());
 
   int fd = raw_connect(rt.bound_port());
-  // Worker-written (200) and listener-written (404) responses interleave;
+  // Sandbox (200) and front-door (404) responses interleave;
   // pipelined bytes cross both admission and error paths.
   const char* targets[] = {"/ping", "/ghost", "/ping", "/ghost", "/ping"};
   int expect[] = {200, 404, 200, 404, 200};
@@ -438,7 +437,7 @@ TEST(ObservabilityTest, PipelinedMixOfSandboxAndListenerResponses) {
 // ---- Listener bugfix: short writes on control paths are completed ----
 
 // A slow reader (tiny receive buffer, reads nothing until the end) pipelines
-// enough 404s that the listener's ::send must hit EAGAIN; every response
+// enough 404s that the response writer must hit EAGAIN; every response
 // must still arrive intact. Before the fix, the truncated remainder was
 // silently dropped.
 TEST(ObservabilityTest, SlowReaderReceivesEvery404Intact) {
@@ -571,7 +570,7 @@ int main() { sleep_ms(100); out[0] = 122; resp_write(out, 1); return 0; }
   ASSERT_TRUE(rt.start().is_ok());
 
   // Keep one request in flight so stop() has something to drain, giving us
-  // a window in which the listener is up but shedding.
+  // a window in which the front door is up but shedding.
   int fd_a = raw_connect(rt.bound_port());
   ASSERT_TRUE(send_all(
       fd_a, http::serialize_request("POST", "/sleep", {}, true)));

@@ -421,9 +421,8 @@ bool recv_response(int fd, int* status, std::string* body) {
 
 }  // namespace rawhttp
 
-// One raw connection, many requests: responses written by workers (200 via
-// the sandbox path, then return_connection back to the listener) interleave
-// with responses written by the listener itself (404), and every request on
+// One raw connection, many requests: sandbox responses (200) interleave
+// with responses the front door answers itself (404), and every request on
 // the shared socket gets exactly one in-order answer.
 TEST(RuntimeTest, KeepAliveRoundTripMixesWorkerAndListenerResponses) {
   RuntimeConfig cfg;

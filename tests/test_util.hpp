@@ -75,7 +75,7 @@ inline std::vector<Arrival> arrival_script(uint64_t seed, size_t count,
 
 // Scoped fault injection into the sandbox allocation path: while alive,
 // every Nth (default: every) Sandbox::create fails as if resources were
-// exhausted, driving the listener's 503 path deterministically.
+// exhausted, driving the front door's 503 path deterministically.
 class ScopedSandboxAllocFault {
  public:
   ScopedSandboxAllocFault() {
