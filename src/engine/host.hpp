@@ -47,7 +47,7 @@ struct MemView {
 // of its guest code. The runtime's quantum handler reads it from a SIGALRM
 // handler on the same thread and preempts only at 0, i.e. inside guest
 // code; host code may hold a lock the scheduler takes next (malloc's, the
-// dispatcher's queue mutex). It rests at 1: outside guest code, the
+// Distributor's queue mutex). It rests at 1: outside guest code, the
 // engine's own call wrapper included, everything is host code.
 class HostDepth {
  public:

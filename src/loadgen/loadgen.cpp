@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -208,6 +209,7 @@ Result<Report> run_load(const Options& options) {
                                       options.total_requests);
   }
   uint64_t t_start = 0;  // schedule epoch; set when the clock starts below
+  uint64_t t_stop = UINT64_MAX;  // no new request at or after this time
 
   auto client = [&]() {
     LatencyHistogram local;
@@ -215,7 +217,7 @@ Result<Report> run_load(const Options& options) {
     int fd = -1;
     while (true) {
       uint64_t ticket = issued.fetch_add(1, std::memory_order_relaxed);
-      if (ticket >= options.total_requests) break;
+      if (ticket >= options.total_requests || now_ns() >= t_stop) break;
 
       uint64_t t0 = now_ns();
       if (!arrivals.empty()) {
@@ -274,6 +276,9 @@ Result<Report> run_load(const Options& options) {
 
   Stopwatch sw;
   t_start = now_ns();
+  if (options.max_duration_s > 0) {
+    t_stop = t_start + static_cast<uint64_t>(options.max_duration_s * 1e9);
+  }
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(options.concurrency));
   for (int i = 0; i < options.concurrency; ++i) {

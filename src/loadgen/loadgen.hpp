@@ -46,6 +46,9 @@ struct Options {
   std::vector<uint8_t> body;
   int concurrency = 10;
   uint64_t total_requests = 1000;
+  // > 0: no request is issued after this many seconds (a fixed-window run;
+  // total_requests stays the cap).
+  double max_duration_s = 0;
   bool keep_alive = true;
   // Treat a 200 with this exact body as success when non-empty.
   std::vector<uint8_t> expect_body;

@@ -8,7 +8,7 @@
 //     (serve_one) and becomes its holder: it accepts, or reads and parses.
 //   * A control-path answer (400/404/501, 503 drain/overload, 504-early,
 //     /admin/*) is queued on that worker's response writer; an admitted
-//     request becomes a sandbox and travels through the Dispatcher, taking
+//     request becomes a sandbox and travels through the Distributor, taking
 //     the connection with it (a sb_invoke_stream child inherits it too).
 //   * Whoever writes a response's last byte serves the next request on the
 //     connection (finish): bytes of it already buffered are parsed in
@@ -107,7 +107,7 @@ class FrontDoor {
   // malformed request.
   int feed(Connection* c, const char* data, size_t n, size_t* used);
   // Acts on the parsed request: a control-path answer through the worker's
-  // writer, or a sandbox through the Dispatcher. Either way the connection
+  // writer, or a sandbox through the Distributor. Either way the connection
   // moves on to a new holder, so `c` must not be touched afterwards.
   void act(Connection* c, Worker* w);
   void respond(Connection* c, Worker* w, int status, const char* reason,

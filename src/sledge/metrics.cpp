@@ -135,7 +135,7 @@ json::Value hist_to_json(const LatencyHistogram::Summary& h) {
 // clang-format off
 const std::vector<Metric>& table() {
   static const std::vector<Metric> rows = {
-      row<&RuntimeConfig::dispatcher>(kInfo, "dispatcher", kConfigInfo, "Admitted-sandbox dispatcher"),
+      row<&RuntimeConfig::policy>(kInfo, "policy", kConfigInfo, "Work-distribution queue"),
       row<&RuntimeConfig::sched>(kInfo, "sched", kConfigInfo, "Per-worker scheduling policy"),
       row<&RuntimeConfig::admission>(kInfo, "admission", kConfigInfo, "Admission policy"),
       row<&RuntimeConfig::instantiation>(kInfo, "instantiation", kConfigInfo, "Sandbox startup tier"),

@@ -29,16 +29,19 @@ namespace {
 // serialize behind unrelated work and global placement wins.
 constexpr uint32_t kInvokeLocalitySlack = 2;
 
+RuntimeConfig clamp_workers(RuntimeConfig config) {
+  if (config.workers < 1) config.workers = 1;
+  return config;
+}
+
 }  // namespace
 
 // ---- Runtime ----------------------------------------------------------
 
 Runtime::Runtime(RuntimeConfig config)
-    : config_(config), admission_(config.admission, config.max_pending) {
-  if (config_.workers < 1) config_.workers = 1;
-  dispatcher_ =
-      Dispatcher::make(config_.dispatcher, config_.policy, config_.workers);
-}
+    : config_(clamp_workers(config)),
+      distributor_(config_.policy, config_.workers),
+      admission_(config.admission, config.max_pending) {}
 
 Runtime::~Runtime() { stop(); }
 
@@ -138,11 +141,10 @@ Status Runtime::start() {
   front_door_->open();
   SLEDGE_LOG_INFO(
       "sledge runtime on port %u (%d workers, quantum %lu us, "
-      "%s, dispatcher=%s, sched=%s, admission=%s, instantiation=%s, "
-      "dataplane=%s)",
+      "%s, sched=%s, admission=%s, instantiation=%s, dataplane=%s)",
       bound_port_, config_.workers,
       static_cast<unsigned long>(config_.quantum_us),
-      to_string(config_.policy), to_string(config_.dispatcher),
+      to_string(config_.policy),
       to_string(config_.sched), to_string(config_.admission),
       to_string(config_.instantiation), to_string(config_.invoke_dataplane));
   return Status::ok();
@@ -187,7 +189,7 @@ void Runtime::stop() {
   // shutdown leaks neither sandboxes nor their connections.
   Sandbox* orphan = nullptr;
   for (int i = 0; i < config_.workers; ++i) {
-    while (dispatcher_->fetch(i, &orphan)) {
+    while (distributor_.fetch(i, &orphan)) {
       retired_totals_.drained++;
       note_retired(static_cast<LoadedModule*>(orphan->user_tag));
       if (const auto& join = orphan->result_join()) {
@@ -295,16 +297,13 @@ void Runtime::place_invoke_child(Sandbox* parent, LoadedModule* mod,
                                  bool zerocopy) {
   // Locality: prefer the parent's worker when its runnable backlog has
   // slack — the child starts on warm caches and the join wake is zero-hop.
-  // Only computed for work-stealing, the one dispatcher that honors hints
-  // (deadline order / module affinity dominate in the others), so the
-  // invoke_local counter reflects placements actually requested.
+  // Every DistPolicy honours the hint, so invoke_local counts placements
+  // actually requested.
   int hint = -1;
-  if (dispatcher_->kind() == DispatchPolicy::kWorkStealing) {
-    int pw = parent->owner_worker();
-    if (pw >= 0 && pw < static_cast<int>(workers_.size()) &&
-        workers_[pw]->backlog_hint() <= kInvokeLocalitySlack) {
-      hint = pw;
-    }
+  const int pw = parent->owner_worker();
+  if (pw >= 0 && pw < static_cast<int>(workers_.size()) &&
+      workers_[pw]->backlog_hint() <= kInvokeLocalitySlack) {
+    hint = pw;
   }
   {
     std::lock_guard<std::mutex> lock(mod->stats.mu);
@@ -317,7 +316,7 @@ void Runtime::place_invoke_child(Sandbox* parent, LoadedModule* mod,
   }
   invokes_.fetch_add(1, std::memory_order_relaxed);
   note_admitted(mod);
-  int bound = dispatcher_->inject(child.release(), hint);
+  int bound = distributor_.inject(child.release(), hint);
   // The parent is still running on its worker, so unbound children may
   // need an idle worker.
   wake_for(bound, parent->owner_worker(), /*placer_busy=*/true);
@@ -406,7 +405,7 @@ void Runtime::wake_for(int bound, int placer, bool placer_busy) {
     if (bound != placer) notify_worker(bound);
     return;
   }
-  if (!placer_busy && dispatcher_->backlog_estimate() <= 1) return;
+  if (!placer_busy && distributor_.backlog_estimate() <= 1) return;
   // Pairs with the worker's idle flag: it publishes idle, then re-checks
   // the backlog before sleeping.
   std::atomic_thread_fence(std::memory_order_seq_cst);

@@ -2,11 +2,11 @@
 //
 // N worker threads and nothing else: between dispatches a worker takes the
 // next ready client connection from the front door's shared ready set,
-// parses the HTTP request and instantiates its sandbox; a global
-// work-distribution structure (Chase–Lev deque by default) hands sandboxes
-// out across the workers; each worker runs a preemptive round-robin
-// scheduler over user-level sandbox contexts with a configurable quantum
-// (paper default 5 ms). Request routing is by path: POST /<module-name>.
+// parses the HTTP request and instantiates its sandbox; the Distributor
+// (a global Chase–Lev deque by default) hands sandboxes out across the
+// workers; each worker runs a preemptive round-robin scheduler over
+// user-level sandbox contexts with a configurable quantum (paper default
+// 5 ms). Request routing is by path: POST /<module-name>.
 #pragma once
 
 #include <atomic>
@@ -22,7 +22,8 @@
 #include "common/status.hpp"
 #include "engine/engine.hpp"
 #include "sledge/admission.hpp"
-#include "sledge/dispatcher.hpp"
+#include "sledge/dispatcher.hpp"  // RuntimeConfig::dispatcher (shim)
+#include "sledge/distributor.hpp"
 #include "sledge/resource_pool.hpp"
 #include "sledge/sandbox.hpp"
 #include "sledge/scheduler_policy.hpp"
@@ -48,11 +49,11 @@ struct RuntimeConfig {
   uint16_t port = 0;  // 0 = pick a free port (see Runtime::bound_port)
   int workers = 3;
   uint64_t quantum_us = 5000;  // paper's 5 ms time slice
+  // How admitted sandboxes are handed out across workers (the §3.4 queue
+  // ablation; the Distributor serves all three).
   DistPolicy policy = DistPolicy::kWorkStealing;
-  // Dispatcher layer above the Distributor: how admitted sandboxes are
-  // handed out across workers (work_stealing keeps `policy`'s queue
-  // ablation; global_edf and sharded_module replace it).
-  DispatchPolicy dispatcher = DispatchPolicy::kWorkStealing;
+  // Not settable: the end-to-end benchmark still names it (dispatcher.hpp).
+  static constexpr DispatchPolicy dispatcher = DispatchPolicy::kWorkStealing;
   // Per-worker scheduling policy over the local runnable set (the
   // cross-worker handoff above stays as configured by `policy`). The policy
   // alone arms the quantum timer; kFifoRunToCompletion never preempts.
@@ -205,7 +206,7 @@ class Runtime : public InvokeBroker {
   }
 
   const RuntimeConfig& config() const { return config_; }
-  Dispatcher& dispatcher() { return *dispatcher_; }
+  Distributor& distributor() { return distributor_; }
   FrontDoor& front_door() { return *front_door_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
   // True while stop() is letting in-flight sandboxes finish; the front
@@ -408,7 +409,7 @@ class Runtime : public InvokeBroker {
 
   RuntimeConfig config_;
   std::map<std::string, std::unique_ptr<LoadedModule>> modules_;
-  std::unique_ptr<Dispatcher> dispatcher_;
+  Distributor distributor_;
   AdmissionController admission_;
   std::unique_ptr<FrontDoor> front_door_;
   std::vector<std::unique_ptr<Worker>> workers_;

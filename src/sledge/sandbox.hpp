@@ -46,7 +46,7 @@ const char* to_string(SandboxState s);
 //      (not the scheduler's, not the trap handler's sigaltstack);
 //   2. the sandbox is kRunning (not mid-switch to block or complete);
 //   3. no engine->host call is in progress: host code may hold a lock
-//      (malloc's, the dispatcher's queue mutex) that the scheduler, on the
+//      (malloc's, the Distributor's queue mutex) that the scheduler, on the
 //      same thread, takes next.
 // Anywhere else the tick is dropped and the next one retries.
 inline bool preemptible(uintptr_t sp, const ExecStack& stack,

@@ -8,7 +8,6 @@
 //   "workers": 3,
 //   "quantum_us": 5000,
 //   "policy": "work_stealing",   // | "global_lock" | "per_worker"
-//   "dispatcher": "work_stealing",  // | "global_edf" | "sharded_module"
 //   "scheduler": "round_robin",  // | "fifo" (cooperative) | "edf"
 //   "admission": "depth",        // | "slack" (expected-slack + fair shares)
 //   "instantiation": "pooled",   // | "cold" (fresh memory and stack)
@@ -70,11 +69,10 @@ Status check_keys(const json::Value& obj,
 Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
   Status keys = check_keys(
       doc,
-      {"port", "workers", "quantum_us", "policy",
-       "dispatcher", "scheduler", "admission", "instantiation", "tier",
-       "bounds", "budget_us", "deadline_us", "max_pending", "drain_grace_ms",
-       "max_sandbox_fds", "max_invoke_depth", "invoke_dataplane",
-       "admin_endpoint", "access_log", "modules"},
+      {"port", "workers", "quantum_us", "policy", "scheduler", "admission",
+       "instantiation", "tier", "bounds", "budget_us", "deadline_us",
+       "max_pending", "drain_grace_ms", "max_sandbox_fds", "max_invoke_depth",
+       "invoke_dataplane", "admin_endpoint", "access_log", "modules"},
       "");
   if (!keys.is_ok()) {
     return Result<runtime::RuntimeConfig>::error(keys.message());
@@ -114,18 +112,6 @@ Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
     cfg.policy = runtime::DistPolicy::kWorkStealing;
   } else {
     return Result<runtime::RuntimeConfig>::error("unknown policy: " + policy);
-  }
-
-  const std::string& dispatcher = doc["dispatcher"].as_string();
-  if (dispatcher == "global_edf") {
-    cfg.dispatcher = runtime::DispatchPolicy::kGlobalEdf;
-  } else if (dispatcher == "sharded_module") {
-    cfg.dispatcher = runtime::DispatchPolicy::kShardedByModule;
-  } else if (dispatcher.empty() || dispatcher == "work_stealing") {
-    cfg.dispatcher = runtime::DispatchPolicy::kWorkStealing;
-  } else {
-    return Result<runtime::RuntimeConfig>::error("unknown dispatcher: " +
-                                                 dispatcher);
   }
 
   const std::string& admission = doc["admission"].as_string();

@@ -94,8 +94,6 @@ Status Worker::start() {
   Status st = io_loop_.init();
   if (st.is_ok()) st = io_loop_.nest_ready_set(rt_->front_door().ready_fd());
   if (!st.is_ok()) return st;
-  drain_front_door_ = policy_->admit_eagerly() ||
-                      rt_->dispatcher().kind() == DispatchPolicy::kGlobalEdf;
   thread_ = std::thread([this] { thread_main(); });
   return Status::ok();
 }
@@ -218,7 +216,7 @@ void Worker::thread_main() {
   // Anything left after the drain grace period is abandoned; so are the
   // connections of responses still being written.
   Sandbox* sb = nullptr;
-  while (rt_->dispatcher().fetch(index_, &sb)) abandon(sb);
+  while (rt_->distributor().fetch(index_, &sb)) abandon(sb);
   while (Sandbox* s = policy_->pick_next()) abandon(s);
   std::vector<Sandbox*> blocked;
   io_loop_.drain_all(&blocked);
@@ -239,7 +237,7 @@ void Worker::serve_front_door() {
   // Draining is bounded so a stream of arrivals cannot starve the run queue.
   constexpr int kMaxDrain = 64;
   FrontDoor& door = rt_->front_door();
-  for (int n = drain_front_door_ ? kMaxDrain : 1; n > 0; --n) {
+  for (int n = policy_->admit_eagerly() ? kMaxDrain : 1; n > 0; --n) {
     if (!door.serve_one(this)) break;
   }
   if (!writes_.empty()) pump_writes();
@@ -253,7 +251,7 @@ void Worker::respond(int fd, std::string header, std::vector<uint8_t> body,
 }
 
 void Worker::admit(Sandbox* sb) {
-  int bound = rt_->dispatcher().push(sb);
+  int bound = rt_->distributor().push(sb);
   rt_->wake_for(bound, index_, /*placer_busy=*/policy_->size() > 0);
 }
 
@@ -264,7 +262,7 @@ Sandbox* Worker::next_sandbox() {
   // long-running preempted ones; EDF drains everything available so the
   // deadline comparison sees the full candidate set.
   Sandbox* stolen = nullptr;
-  while (rt_->dispatcher().fetch(index_, &stolen)) {
+  while (rt_->distributor().fetch(index_, &stolen)) {
     stats_.steals.fetch_add(1, std::memory_order_relaxed);
     policy_->enqueue(stolen);
     if (!policy_->admit_eagerly()) break;

@@ -50,8 +50,8 @@ class Worker {
   // stays held until its last byte is out (then FrontDoor::finish).
   void respond(int fd, std::string header, std::vector<uint8_t> body,
                bool keep_alive);
-  // Hands an admitted sandbox to the Dispatcher and wakes only a worker a
-  // placement policy bound it to (this one fetches next otherwise).
+  // Hands an admitted sandbox to the Distributor and wakes only a worker a
+  // placement bound it to (this one fetches next otherwise).
   void admit(Sandbox* sb);
 
   // Racy snapshot of this worker's runnable backlog (policy queue + the
@@ -124,7 +124,8 @@ class Worker {
   // connection on (FrontDoor::finish), which may queue more responses.
   void pump_writes();
   // Takes ready front-door fds: one per scheduling iteration, or every
-  // ready one when deadline order must see the whole candidate set.
+  // ready one when the EDF policy's deadline order must see the whole
+  // candidate set (admit_eagerly).
   void serve_front_door();
   // A flushed (or failed) response: record the response_write phase and
   // append the structured access-log line to the worker-local buffer.
@@ -147,9 +148,6 @@ class Worker {
   IoLoop io_loop_;
   std::vector<WriteJob> writes_;
   std::vector<std::pair<int, bool>> finished_;  // pump_writes scratch
-  // Drain every ready front-door fd before fetching (EDF policy or the
-  // global-EDF dispatcher) rather than one per iteration.
-  bool drain_front_door_ = false;
   std::string access_buf_;  // buffered access-log lines (flushed off-path)
 
   timer_t timer_{};

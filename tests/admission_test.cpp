@@ -1,10 +1,11 @@
-// Admission-control and dispatcher-layer tests at the data-structure level:
-// the expected-slack AdmissionController's admit invariant under randomized
-// (seeded) workloads, the SlackPredictor's sliding-window behaviour (the
-// guard against sticky all-time p99s latching the server shut), and the
-// Dispatcher push/inject/fetch contract — including a multi-threaded
-// overload soak. Sandboxes are created but never dispatched, so this binary
-// is sanitizer-safe (no SIGALRM) and rides the TSan preset.
+// Admission-control and work-distribution tests at the data-structure
+// level: the expected-slack AdmissionController's admit invariant under
+// randomized (seeded) workloads, the SlackPredictor's sliding-window
+// behaviour (the guard against sticky all-time p99s latching the server
+// shut), and the Distributor push/inject/fetch contract under every
+// DistPolicy — including a multi-threaded overload soak. Sandboxes are
+// created but never dispatched, so this binary is sanitizer-safe (no
+// SIGALRM) and rides the TSan preset.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,7 @@
 #include "common/rng.hpp"
 #include "minicc/minicc.hpp"
 #include "sledge/admission.hpp"
-#include "sledge/dispatcher.hpp"
+#include "sledge/distributor.hpp"
 #include "sledge/sandbox.hpp"
 
 namespace sledge::runtime {
@@ -44,14 +45,10 @@ const engine::WasmModule* test_module() {
   return mod;
 }
 
-std::unique_ptr<Sandbox> make_sandbox(uint64_t deadline_abs_ns = 0,
-                                      void* tag = nullptr) {
+std::unique_ptr<Sandbox> make_sandbox(uint64_t deadline_abs_ns = 0) {
   auto sb = Sandbox::create(test_module(), {});
   EXPECT_NE(sb, nullptr);
-  if (sb) {
-    sb->set_limits(0, deadline_abs_ns);
-    sb->user_tag = tag;
-  }
+  if (sb) sb->set_limits(0, deadline_abs_ns);
   return sb;
 }
 
@@ -63,9 +60,9 @@ TEST(AdmissionTest, ToStringCoverage) {
   EXPECT_STREQ(to_string(AdmitVerdict::kAdmit), "admit");
   EXPECT_STREQ(to_string(AdmitVerdict::kShedOverload), "shed_overload");
   EXPECT_STREQ(to_string(AdmitVerdict::kShedDeadline), "shed_deadline");
-  EXPECT_STREQ(to_string(DispatchPolicy::kWorkStealing), "work_stealing");
-  EXPECT_STREQ(to_string(DispatchPolicy::kGlobalEdf), "global_edf");
-  EXPECT_STREQ(to_string(DispatchPolicy::kShardedByModule), "sharded_module");
+  EXPECT_STREQ(to_string(DistPolicy::kWorkStealing), "work_stealing");
+  EXPECT_STREQ(to_string(DistPolicy::kGlobalLock), "global_lock");
+  EXPECT_STREQ(to_string(DistPolicy::kPerWorker), "per_worker");
 }
 
 TEST(AdmissionTest, FairShareArithmetic) {
@@ -218,34 +215,51 @@ TEST(SlackPredictorTest, P99TracksOrderStatistic) {
   EXPECT_TRUE(p.ready());
 }
 
-// ---- Dispatcher contracts ----------------------------------------------
+// ---- Distributor contracts ---------------------------------------------
 
-class DispatcherContractTest
-    : public ::testing::TestWithParam<DispatchPolicy> {};
+constexpr DistPolicy kAllDistPolicies[] = {
+    DistPolicy::kWorkStealing, DistPolicy::kGlobalLock, DistPolicy::kPerWorker};
+
+std::string dist_name(const ::testing::TestParamInfo<DistPolicy>& info) {
+  return to_string(info.param);
+}
+
+class DispatcherContractTest : public ::testing::TestWithParam<DistPolicy> {};
 
 // Every pushed/injected sandbox comes back from exactly one fetch: no loss,
-// no duplication, across all worker indices.
+// no duplication, across all worker indices. A sandbox placement bound to a
+// worker (per-worker queue, honoured locality hint) is fetched by that
+// worker, the one the placer wakes.
 TEST_P(DispatcherContractTest, NoLossNoDuplication) {
   ASSERT_NE(test_module(), nullptr);
   constexpr int kWorkers = 4;
-  auto d = Dispatcher::make(GetParam(), DistPolicy::kWorkStealing, kWorkers);
-  ASSERT_EQ(d->kind(), GetParam());
+  Distributor d(GetParam(), kWorkers);
 
-  int tags[3];  // distinct module identities for the sharded dispatcher
   std::vector<std::unique_ptr<Sandbox>> owned;
-  std::set<Sandbox*> expected;
+  std::map<Sandbox*, int> bound_to;
   for (int i = 0; i < 60; ++i) {
-    auto sb = make_sandbox(/*deadline_abs_ns=*/1000 + i, &tags[i % 3]);
+    auto sb = make_sandbox(/*deadline_abs_ns=*/1000 + i);
     ASSERT_NE(sb, nullptr);
-    expected.insert(sb.get());
+    int bound = -1;
     if (i % 5 == 0) {
-      d->inject(sb.get());  // the sb_invoke side entrance
+      bound = d.inject(sb.get());  // the sb_invoke side entrance
+      EXPECT_EQ(bound, -1);
+    } else if (i % 5 == 1) {
+      bound = d.inject(sb.get(), /*worker_hint=*/i % kWorkers);
+      EXPECT_EQ(bound, i % kWorkers) << "locality hint not honoured";
     } else {
-      d->push(sb.get());
+      bound = d.push(sb.get());
+      if (GetParam() == DistPolicy::kPerWorker) {
+        EXPECT_GE(bound, 0);
+        EXPECT_LT(bound, kWorkers);
+      } else {
+        EXPECT_EQ(bound, -1);
+      }
     }
+    bound_to[sb.get()] = bound;
     owned.push_back(std::move(sb));
   }
-  EXPECT_GT(d->backlog_estimate(), 0);
+  EXPECT_EQ(d.backlog_estimate(), 60);
 
   std::set<Sandbox*> fetched;
   bool progress = true;
@@ -253,105 +267,36 @@ TEST_P(DispatcherContractTest, NoLossNoDuplication) {
     progress = false;
     for (int w = 0; w < kWorkers; ++w) {
       Sandbox* sb = nullptr;
-      while (d->fetch(w, &sb)) {
+      while (d.fetch(w, &sb)) {
         EXPECT_TRUE(fetched.insert(sb).second) << "double-fetched sandbox";
+        auto it = bound_to.find(sb);
+        ASSERT_NE(it, bound_to.end()) << "fetched a sandbox never placed";
+        EXPECT_TRUE(it->second == -1 || it->second == w)
+            << "bound to " << it->second << ", fetched by " << w;
         progress = true;
       }
     }
   }
-  EXPECT_EQ(fetched, expected);
+  EXPECT_EQ(fetched.size(), bound_to.size());  // each placed one, once
   for (int w = 0; w < kWorkers; ++w) {
     Sandbox* sb = nullptr;
-    EXPECT_FALSE(d->fetch(w, &sb));
+    EXPECT_FALSE(d.fetch(w, &sb));
   }
+  EXPECT_EQ(d.backlog_estimate(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDispatchers, DispatcherContractTest,
-                         ::testing::Values(DispatchPolicy::kWorkStealing,
-                                           DispatchPolicy::kGlobalEdf,
-                                           DispatchPolicy::kShardedByModule),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
-
-TEST(GlobalEdfDispatcherTest, FetchesInDeadlineOrder) {
-  auto d = Dispatcher::make(DispatchPolicy::kGlobalEdf,
-                            DistPolicy::kWorkStealing, 2);
-  // Push out of order, with deadline-less entries mixed in (sort last).
-  const uint64_t deadlines[] = {500, 100, 0, 300, 200, 0, 400};
-  std::vector<std::unique_ptr<Sandbox>> owned;
-  for (uint64_t dl : deadlines) {
-    auto sb = make_sandbox(dl);
-    ASSERT_NE(sb, nullptr);
-    d->push(sb.get());
-    owned.push_back(std::move(sb));
-  }
-  std::vector<uint64_t> order;
-  Sandbox* sb = nullptr;
-  // Alternate fetching workers: the admit order is global, not per-worker.
-  for (int w = 0; d->fetch(w % 2, &sb); ++w) {
-    order.push_back(sb->deadline_at_ns());
-  }
-  EXPECT_EQ(order,
-            (std::vector<uint64_t>{100, 200, 300, 400, 500, 0, 0}));
-}
-
-TEST(GlobalEdfDispatcherTest, EqualDeadlinesBreakFifo) {
-  auto d = Dispatcher::make(DispatchPolicy::kGlobalEdf,
-                            DistPolicy::kWorkStealing, 1);
-  std::vector<std::unique_ptr<Sandbox>> owned;
-  std::vector<Sandbox*> in_order;
-  for (int i = 0; i < 8; ++i) {
-    auto sb = make_sandbox(777);  // all identical deadlines
-    ASSERT_NE(sb, nullptr);
-    in_order.push_back(sb.get());
-    d->push(sb.get());
-    owned.push_back(std::move(sb));
-  }
-  Sandbox* sb = nullptr;
-  for (Sandbox* want : in_order) {
-    ASSERT_TRUE(d->fetch(0, &sb));
-    EXPECT_EQ(sb, want);  // seq tie-break preserves arrival order
-  }
-}
-
-TEST(ShardedDispatcherTest, ModuleAlwaysLandsOnSameWorker) {
-  constexpr int kWorkers = 3;
-  auto d = Dispatcher::make(DispatchPolicy::kShardedByModule,
-                            DistPolicy::kWorkStealing, kWorkers);
-  int tags[5];
-  std::vector<std::unique_ptr<Sandbox>> owned;
-  for (int i = 0; i < 50; ++i) {
-    auto sb = make_sandbox(0, &tags[i % 5]);
-    ASSERT_NE(sb, nullptr);
-    d->push(sb.get());
-    owned.push_back(std::move(sb));
-  }
-  // Each tag's sandboxes must all come out of one and only one shard.
-  std::map<void*, int> tag_to_worker;
-  size_t fetched = 0;
-  for (int w = 0; w < kWorkers; ++w) {
-    Sandbox* sb = nullptr;
-    while (d->fetch(w, &sb)) {
-      ++fetched;
-      auto [it, fresh] = tag_to_worker.emplace(sb->user_tag, w);
-      if (!fresh) {
-        EXPECT_EQ(it->second, w) << "module split across shards";
-      }
-    }
-  }
-  EXPECT_EQ(fetched, 50u);
-  EXPECT_EQ(tag_to_worker.size(), 5u);
-}
+                         ::testing::ValuesIn(kAllDistPolicies), dist_name);
 
 // ---- Multi-threaded overload soak (the TSan target) --------------------
 //
 // The full-server soak lives in dispatch_test.cpp (the SIGALRM quantum
-// timer is not sanitizer-trackable); this one exercises the same dispatcher and
-// predictor concurrency with real threads: one front-door pusher, three
-// worker-side injectors, four fetching workers, 2k sandboxes of mixed
-// deadlines, plus concurrent predictor reads against a recording writer.
-class DispatcherSoakTest : public ::testing::TestWithParam<DispatchPolicy> {};
+// timer is not sanitizer-trackable); this one exercises the same Distributor
+// and predictor concurrency with real threads: one front-door pusher, three
+// worker-side injectors (half of their children locality-hinted), four
+// fetching workers, 2k sandboxes of mixed deadlines, plus concurrent
+// predictor reads against a recording writer.
+class DispatcherSoakTest : public ::testing::TestWithParam<DistPolicy> {};
 
 TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
   ASSERT_NE(test_module(), nullptr);
@@ -360,9 +305,8 @@ TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
   constexpr int kPerProducer = 500;
   constexpr int kTotal = (1 + kInjectors) * kPerProducer;  // 2000
 
-  auto d = Dispatcher::make(GetParam(), DistPolicy::kWorkStealing, kWorkers);
+  Distributor d(GetParam(), kWorkers);
 
-  int tags[7];
   std::mutex owned_mu;
   std::vector<std::unique_ptr<Sandbox>> owned;
   owned.reserve(kTotal);
@@ -371,7 +315,7 @@ TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
     Rng rng(0x50a4 + static_cast<uint64_t>(producer));
     for (int i = 0; i < kPerProducer; ++i) {
       uint64_t deadline = rng.chance(0.2) ? 0 : 1000 + rng.below(1'000'000);
-      auto sb = make_sandbox(deadline, &tags[rng.below(7)]);
+      auto sb = make_sandbox(deadline);
       ASSERT_NE(sb, nullptr);
       Sandbox* raw = sb.get();
       {
@@ -379,9 +323,10 @@ TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
         owned.push_back(std::move(sb));
       }
       if (via_push) {
-        d->push(raw);  // front-door admission
+        d.push(raw);  // front-door admission
       } else {
-        d->inject(raw);
+        d.inject(raw, rng.chance(0.5) ? static_cast<int>(rng.below(kWorkers))
+                                      : -1);
       }
     }
   };
@@ -391,7 +336,7 @@ TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
   auto consume = [&](int w) {
     while (fetched_total.load(std::memory_order_acquire) < kTotal) {
       Sandbox* sb = nullptr;
-      if (d->fetch(w, &sb)) {
+      if (d.fetch(w, &sb)) {
         per_worker[static_cast<size_t>(w)].push_back(sb);
         fetched_total.fetch_add(1, std::memory_order_acq_rel);
       } else {
@@ -439,16 +384,11 @@ TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
   EXPECT_EQ(fetched.size(), static_cast<size_t>(kTotal));
   EXPECT_EQ(owned.size(), static_cast<size_t>(kTotal));
   for (const auto& sb : owned) EXPECT_EQ(fetched.count(sb.get()), 1u);
-  EXPECT_EQ(d->backlog_estimate(), 0);
+  EXPECT_EQ(d.backlog_estimate(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDispatchers, DispatcherSoakTest,
-                         ::testing::Values(DispatchPolicy::kWorkStealing,
-                                           DispatchPolicy::kGlobalEdf,
-                                           DispatchPolicy::kShardedByModule),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
+                         ::testing::ValuesIn(kAllDistPolicies), dist_name);
 
 }  // namespace
 }  // namespace sledge::runtime

@@ -1,7 +1,6 @@
-// Dispatcher conformance + admission integration tests through the full
-// server: one parameterized contract across every dispatcher×scheduler
-// combination (no request lost or double-executed), global-EDF admit order
-// under an injected burst (observed via the access log), the weighted
+// Dispatch conformance + admission integration tests through the full
+// server: one parameterized contract across every DistPolicy×scheduler
+// combination (no request lost or double-executed), the weighted
 // fair-share starvation bound with one hot and one cold module, the
 // 504-early "never consumes a sandbox slot" property, and a 2k-request
 // mixed-deadline overload soak whose client-observed response codes must
@@ -19,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -106,11 +104,10 @@ bool recv_response_full(int fd, int* status, std::string* headers,
   }
 }
 
-// ---- Conformance: every dispatcher × every scheduler -------------------
+// ---- Conformance: every distribution queue × every scheduler -----------
 
 class DispatchConformanceTest
-    : public ::testing::TestWithParam<std::tuple<DispatchPolicy, SchedPolicy>> {
-};
+    : public ::testing::TestWithParam<std::tuple<DistPolicy, SchedPolicy>> {};
 
 // Replays one seeded arrival script over two modules through N concurrent
 // clients. Contract: every request is answered exactly once with the right
@@ -120,7 +117,7 @@ class DispatchConformanceTest
 TEST_P(DispatchConformanceTest, SeededScriptNoLossNoDuplication) {
   RuntimeConfig cfg;
   cfg.workers = 2;
-  cfg.dispatcher = std::get<0>(GetParam());
+  cfg.policy = std::get<0>(GetParam());
   cfg.sched = std::get<1>(GetParam());
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("alpha", compile(kPingSrc)).is_ok());
@@ -181,9 +178,9 @@ TEST_P(DispatchConformanceTest, SeededScriptNoLossNoDuplication) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, DispatchConformanceTest,
-    ::testing::Combine(::testing::Values(DispatchPolicy::kWorkStealing,
-                                         DispatchPolicy::kGlobalEdf,
-                                         DispatchPolicy::kShardedByModule),
+    ::testing::Combine(::testing::Values(DistPolicy::kWorkStealing,
+                                         DistPolicy::kGlobalLock,
+                                         DistPolicy::kPerWorker),
                        ::testing::Values(SchedPolicy::kRoundRobin,
                                          SchedPolicy::kFifoRunToCompletion,
                                          SchedPolicy::kEdf)),
@@ -191,95 +188,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(std::get<0>(info.param))) + "_" +
              to_string(std::get<1>(info.param));
     });
-
-// ---- Global-EDF admit order under a burst -------------------------------
-
-// One worker, FIFO run-to-completion: while a long CPU-bound blocker holds
-// the core, a burst arrives in reverse deadline order. The global-EDF heap
-// must hand them out tightest-deadline-first; the access log records the
-// actual completion order.
-TEST(GlobalEdfOrderTest, BurstCompletesInDeadlineOrder) {
-  std::string log_path = ::testing::TempDir() + "sledge_edf_order.jsonl";
-  std::remove(log_path.c_str());
-
-  RuntimeConfig cfg;
-  cfg.workers = 1;
-  cfg.dispatcher = DispatchPolicy::kGlobalEdf;
-  cfg.sched = SchedPolicy::kFifoRunToCompletion;
-  cfg.access_log_path = log_path;
-  Runtime rt(cfg);
-
-  // The blocker has the tightest relative deadline AND arrives first, so it
-  // sorts first in the heap no matter how admission interleaves with the
-  // worker's fetch. Deadlines are generous (seconds) so nothing is killed;
-  // only their ORDER matters.
-  ModuleLimits lim;
-  lim.deadline_ns = 2'000'000'000;
-  ASSERT_TRUE(rt.register_module("blocker",
-                                 compile(testutil::spin_src(150'000'000)),
-                                 lim)
-                  .is_ok());
-  const char* names[] = {"d100", "d200", "d300"};
-  for (int i = 0; i < 3; ++i) {
-    lim.deadline_ns = 3'000'000'000ull + static_cast<uint64_t>(i) * 1'000'000'000ull;
-    ASSERT_TRUE(rt.register_module(names[i],
-                                   compile(testutil::spin_src(50'000)), lim)
-                    .is_ok());
-  }
-  ASSERT_TRUE(rt.start().is_ok());
-
-  std::thread blocker([&] {
-    int status = 0;
-    auto r = loadgen::single_request("127.0.0.1", rt.bound_port(),
-                                     "/blocker", {}, &status);
-    EXPECT_TRUE(r.ok());
-    EXPECT_EQ(status, 200);
-  });
-  // The single worker admits the blocker and then spins in it, run to
-  // completion; the front door is served by that same worker, so nothing
-  // answers until the blocker finishes. Wait until it holds the core.
-  for (int i = 0; i < 500 && rt.inflight() < 1; ++i) ::usleep(1'000);
-  ASSERT_EQ(rt.inflight(), 1);
-
-  // Burst in REVERSE deadline order: loosest first. The requests wait in
-  // the front door's ready set while the blocker runs; once it finishes,
-  // the worker (global-EDF: it drains the ready set before fetching)
-  // admits all three into the heap, so their completion order can only be
-  // deadline order — arrival order would be d300 first.
-  std::vector<std::thread> burst;
-  for (int i = 2; i >= 0; --i) {
-    burst.emplace_back([&, i] {
-      int status = 0;
-      auto r = loadgen::single_request("127.0.0.1", rt.bound_port(),
-                                       std::string("/") + names[i], {},
-                                       &status);
-      EXPECT_TRUE(r.ok());
-      EXPECT_EQ(status, 200);
-    });
-    ::usleep(2'000);  // keep client-side send order deterministic
-  }
-  // Still blocked: no burst request can have been admitted yet.
-  EXPECT_EQ(rt.inflight(), 1) << "burst admitted while the blocker ran";
-  for (auto& t : burst) t.join();
-  blocker.join();
-  rt.stop();  // flushes worker access-log buffers
-
-  // The single worker writes log lines in completion order.
-  std::vector<std::string> order;
-  std::ifstream in(log_path);
-  std::string line;
-  while (std::getline(in, line)) {
-    auto doc = json::parse(line);
-    ASSERT_TRUE(doc.ok()) << line;
-    order.push_back((*doc)["module"].as_string());
-  }
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], "blocker");
-  EXPECT_EQ(order[1], "d100");  // tightest deadline, sent LAST
-  EXPECT_EQ(order[2], "d200");
-  EXPECT_EQ(order[3], "d300");  // loosest deadline, sent FIRST
-  std::remove(log_path.c_str());
-}
 
 // ---- Weighted fair shares: starvation bound -----------------------------
 
@@ -433,7 +341,7 @@ TEST(SlackAdmissionTest, Early504ConsumesNoSandboxSlot) {
 
 // ---- 2k-request mixed-deadline overload soak ----------------------------
 
-// Global-EDF dispatch + EDF workers + slack admission under a 2k-request
+// Work-stealing dispatch + EDF workers + slack admission under a 2k-request
 // two-tenant burst (tight-deadline CPU burner vs. loose-deadline ping).
 // Regression contract: the client-observed response codes reconcile
 // EXACTLY with the server's counters — 503s == shed, 504s == killed +
@@ -442,7 +350,6 @@ TEST(SlackAdmissionTest, Early504ConsumesNoSandboxSlot) {
 TEST(OverloadSoakTest, TwoThousandRequestReconciliation) {
   RuntimeConfig cfg;
   cfg.workers = 3;
-  cfg.dispatcher = DispatchPolicy::kGlobalEdf;
   cfg.sched = SchedPolicy::kEdf;
   cfg.admission = AdmissionPolicy::kExpectedSlack;
   cfg.max_pending = 12;

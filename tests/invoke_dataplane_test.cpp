@@ -1,7 +1,7 @@
 // Differential conformance suite for the inter-function dataplane: the
 // same seeded chain workloads must produce byte-identical responses under
 // the copy and shm (zero-copy transfer-buffer) dataplanes across every
-// dispatcher, with invoke counters that reconcile exactly and no transfer
+// DistPolicy queue, with invoke counters that reconcile exactly and no transfer
 // buffer left outstanding afterwards. Also covers the sb_invoke_stream
 // pipelined hand-off (both the HTTP-connection and upstream-join channel
 // paths), deadline kills mid-chain, keep-alive connection-loan recycling
@@ -94,7 +94,7 @@ bool recv_response(int fd, int* status, std::string* body,
   }
 }
 
-// Seeded request payloads shared by every (dataplane, dispatcher) leg so
+// Seeded request payloads shared by every (dataplane, queue) leg so
 // the legs are byte-comparable. Lengths span empty, sub-bucket, and
 // several-KiB (the .mc chain stages cap at 4096).
 std::vector<std::vector<uint8_t>> seeded_payloads(uint64_t seed, int count) {
@@ -129,13 +129,12 @@ struct ChainRun {
 };
 
 ChainRun run_chain_workload(InvokeDataplane dataplane,
-                            DispatchPolicy dispatcher,
+                            DistPolicy policy,
                             const std::vector<std::vector<uint8_t>>& payloads) {
   RuntimeConfig cfg;
   cfg.workers = 2;
-  cfg.dispatcher = dispatcher;
+  cfg.policy = policy;
   cfg.invoke_dataplane = dataplane;
-  cfg.deadline_ns = 5'000'000'000;  // EDF needs finite deadlines to order by
   Runtime rt(cfg);
   EXPECT_TRUE(rt.register_module("chain", compile_app("chain")).is_ok());
   EXPECT_TRUE(
@@ -154,7 +153,7 @@ ChainRun run_chain_workload(InvokeDataplane dataplane,
       EXPECT_TRUE(resp.ok()) << resp.error_message();
       EXPECT_EQ(status, 200)
           << path << " dataplane=" << to_string(dataplane)
-          << " dispatcher=" << to_string(dispatcher);
+          << " policy=" << to_string(policy);
       (nested ? run.nested : run.chain)
           .push_back(resp.ok() ? *resp : std::vector<uint8_t>{});
     }
@@ -174,25 +173,25 @@ ChainRun run_chain_workload(InvokeDataplane dataplane,
   return run;
 }
 
-// Tentpole acceptance: the dataplane is a transport, not a semantic — for
-// every dispatcher, copy and shm runs of the same seeded workload return
+// The dataplane is a transport, not a semantic — for every distribution
+// queue, copy and shm runs of the same seeded workload return
 // byte-identical responses (which also equal the payload: the chains
 // terminate in /echo), the invoke ledger reconciles exactly (1 child per
 // /chain, 2 per /chain_nested), shm actually rides transfer buffers
-// (invoke_zerocopy > 0) while copy never does, and every loaned buffer is
-// back in the pool afterwards.
+// (invoke_zerocopy > 0) while copy never does, every queue honours the
+// locality hint (invoke_local > 0), and every loaned buffer is back in the
+// pool afterwards.
 TEST(InvokeDataplaneTest, DifferentialCopyVsShmAcrossDispatchers) {
   const auto payloads = seeded_payloads(0xD1FF, 8);
   const uint64_t expected_invokes = payloads.size() * 3;  // 1 + 2 per payload
 
-  for (DispatchPolicy dispatcher :
-       {DispatchPolicy::kWorkStealing, DispatchPolicy::kGlobalEdf,
-        DispatchPolicy::kShardedByModule}) {
+  for (DistPolicy policy : {DistPolicy::kWorkStealing, DistPolicy::kGlobalLock,
+                            DistPolicy::kPerWorker}) {
     ChainRun copy =
-        run_chain_workload(InvokeDataplane::kCopy, dispatcher, payloads);
+        run_chain_workload(InvokeDataplane::kCopy, policy, payloads);
     expect_no_outstanding_transfers("after copy run");
     ChainRun shm =
-        run_chain_workload(InvokeDataplane::kShm, dispatcher, payloads);
+        run_chain_workload(InvokeDataplane::kShm, policy, payloads);
     expect_no_outstanding_transfers("after shm run");
 
     ASSERT_EQ(copy.chain.size(), payloads.size());
@@ -201,23 +200,17 @@ TEST(InvokeDataplaneTest, DifferentialCopyVsShmAcrossDispatchers) {
     ASSERT_EQ(shm.nested.size(), payloads.size());
     for (size_t i = 0; i < payloads.size(); ++i) {
       EXPECT_EQ(copy.chain[i], shm.chain[i])
-          << "chain payload " << i << " " << to_string(dispatcher);
+          << "chain payload " << i << " " << to_string(policy);
       EXPECT_EQ(copy.nested[i], shm.nested[i])
-          << "nested payload " << i << " " << to_string(dispatcher);
+          << "nested payload " << i << " " << to_string(policy);
       EXPECT_EQ(shm.chain[i], payloads[i]);
       EXPECT_EQ(shm.nested[i], payloads[i]);
     }
-    EXPECT_EQ(copy.invokes, expected_invokes) << to_string(dispatcher);
-    EXPECT_EQ(shm.invokes, expected_invokes) << to_string(dispatcher);
-    EXPECT_EQ(copy.zerocopy, 0u) << to_string(dispatcher);
-    EXPECT_GT(shm.zerocopy, 0u) << to_string(dispatcher);
-    if (dispatcher == DispatchPolicy::kWorkStealing) {
-      // Locality hints are only requested where the dispatcher honors them.
-      EXPECT_GT(shm.local, 0u);
-    } else {
-      EXPECT_EQ(shm.local, 0u) << to_string(dispatcher);
-      EXPECT_EQ(copy.local, 0u) << to_string(dispatcher);
-    }
+    EXPECT_EQ(copy.invokes, expected_invokes) << to_string(policy);
+    EXPECT_EQ(shm.invokes, expected_invokes) << to_string(policy);
+    EXPECT_EQ(copy.zerocopy, 0u) << to_string(policy);
+    EXPECT_GT(shm.zerocopy, 0u) << to_string(policy);
+    EXPECT_GT(shm.local, 0u) << to_string(policy);
   }
 }
 

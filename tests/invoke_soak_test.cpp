@@ -1,7 +1,7 @@
 // Sanitizer-safe soak of the zero-copy dataplane's shared state: the
 // transfer-buffer pool (pow2 bucketing, 4 KiB floor, zero-on-tenant-change,
 // outstanding-loan ledger), the TransferLoan last-holder-returns contract
-// under racing destructor orders, and the dispatcher's locality-hinted
+// under racing destructor orders, and the Distributor's locality-hinted
 // inject queues (no sandbox lost or duplicated, hints routed, overflow to
 // the shared entrance). No sandbox ever *executes* here — no quantum
 // timer, no SIGALRM — so the whole file runs under tsan and asan; this is
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sledge/dispatcher.hpp"
+#include "sledge/distributor.hpp"
 #include "sledge/resource_pool.hpp"
 
 namespace sledge::runtime {

@@ -5,7 +5,7 @@
 // sandboxes run under FIFO scheduling (real green-thread switches, no
 // SIGALRM quantum timer, which sanitizers cannot deliver in place). This
 // is the suite the `tsan-listener` preset races: the one-holder hand-offs
-// (take, re-arm, dispatcher hand-off, parse-in-place after a response),
+// (take, re-arm, Distributor hand-off, parse-in-place after a response),
 // the writev control path, and the cross-thread stats plane.
 #include <gtest/gtest.h>
 

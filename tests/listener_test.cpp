@@ -338,14 +338,14 @@ TEST(ListenerTest, BufferedPipelinedRequestServedInPlace) {
 
 // The same with chain3 -> relay -> echo stream hand-offs: the response is
 // written by the echo child, two stages downstream of the sandbox the
-// front door admitted. Module-sharded placement pins each stage to its own
-// worker while the front door's taker varies per connection, so most
+// front door admitted. Per-worker queues place front-door admits round
+// robin while the front door's taker varies per connection, so most
 // responses are written (and the buffered successor parsed) by a worker
 // that did not read the first request.
 TEST(ListenerTest, BufferedPipelinedRequestServedBehindChain3) {
   RuntimeConfig cfg;
   cfg.workers = 3;
-  cfg.dispatcher = DispatchPolicy::kShardedByModule;
+  cfg.policy = DistPolicy::kPerWorker;
   Runtime rt(cfg);
   for (const char* m : {"chain3", "relay", "echo"}) {
     auto src = apps::load_app_source(m);

@@ -198,5 +198,23 @@ TEST_F(LoadgenTest, OpenLoopScheduleCompletesAllRequests) {
   EXPECT_GE(report->duration_s, expected.back());
 }
 
+// Fixed-window closed loop: the clients stop issuing at max_duration_s,
+// long before the request cap, and every issued request is answered.
+TEST_F(LoadgenTest, MaxDurationEndsRunBeforeRequestCap) {
+  Options opt;
+  opt.port = rt_->bound_port();
+  opt.path = "/ping";
+  opt.concurrency = 2;
+  opt.total_requests = 100'000'000;
+  opt.max_duration_s = 0.1;
+  auto report = run_load(opt);
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->ok, 0u);
+  EXPECT_EQ(report->errors, 0u);
+  EXPECT_LT(report->ok, opt.total_requests);
+  EXPECT_GE(report->duration_s, opt.max_duration_s);
+  EXPECT_LT(report->duration_s, 10.0);
+}
+
 }  // namespace
 }  // namespace sledge::loadgen

@@ -230,7 +230,7 @@ TEST(MetricsTableTest, EveryRowRendersOnEverySurface) {
            "sledge_end_to_end_seconds{module=\"ping\",quantile=\"0.99\"} "
            "0.0003\n",
            "sledge_end_to_end_seconds_count{module=\"ping\"} 4\n",
-           "sledge_config_info{dispatcher=\"work_stealing\","
+           "sledge_config_info{policy=\"work_stealing\","
            "sched=\"round_robin\",admission=\"depth\","
            "instantiation=\"pooled\",dataplane=\"shm\"} 1\n",
        }) {

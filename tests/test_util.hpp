@@ -50,8 +50,8 @@ int main() {
 
 // One step of a deterministic arrival script: wait `gap_us`, then issue a
 // request against module index `module`. Scripts are generated from a seed
-// so dispatcher/admission tests replay the exact same interleaved workload
-// on every run (and across dispatcher×scheduler parameterizations).
+// so dispatch/admission tests replay the exact same interleaved workload
+// on every run (and across DistPolicy×scheduler parameterizations).
 struct Arrival {
   int module = 0;
   uint64_t gap_us = 0;
