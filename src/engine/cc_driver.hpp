@@ -11,7 +11,9 @@
 namespace sledge::engine {
 
 struct CcOptions {
-  int opt_level = 2;        // -O0 models fast-compile tiers, -O2 is aWsm
+  // -O1 models fast-compile tiers, -O2 is aWsm: with GCC it also gets
+  // complete loop peeling and O3's small-function inline limit.
+  int opt_level = 2;
   bool debug_keep = false;  // keep the temp dir for inspection
 };
 
@@ -24,6 +26,11 @@ struct CcResult {
 
 // Returns true when a usable C compiler is available on this host.
 bool cc_available();
+
+// True when the compiler (SLEDGE_CC, else `cc`) is GCC and not a
+// GCC-compatible front end such as clang; only GCC gets the aWsm tier's
+// `--param` options. Probed once per compiler path.
+bool cc_is_gcc();
 
 Result<CcResult> compile_c_to_so(const std::string& c_source,
                                  const CcOptions& options);

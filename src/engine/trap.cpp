@@ -66,6 +66,7 @@ namespace {
 struct GuardRegion {
   std::atomic<uintptr_t> base{0};
   std::atomic<size_t> len{0};
+  std::atomic<TrapCode> code{TrapCode::kOutOfBoundsMemory};
 };
 
 constexpr int kMaxGuardRegions = 4096;
@@ -75,22 +76,28 @@ std::mutex g_regions_mutex;
 struct sigaction g_prev_segv;
 struct sigaction g_prev_bus;
 
-bool address_in_guard_region(uintptr_t addr) {
+// The trap a fault at `addr` stands for, or kNone when no guard region
+// holds it.
+TrapCode guard_region_trap(uintptr_t addr) {
   for (int i = 0; i < kMaxGuardRegions; ++i) {
     size_t len = g_regions[i].len.load(std::memory_order_acquire);
     if (len == 0) continue;
     uintptr_t base = g_regions[i].base.load(std::memory_order_relaxed);
-    if (addr >= base && addr < base + len) return true;
+    if (addr >= base && addr < base + len) {
+      return g_regions[i].code.load(std::memory_order_relaxed);
+    }
   }
-  return false;
+  return TrapCode::kNone;
 }
 
 void segv_handler(int signo, siginfo_t* info, void* ucontext) {
   uintptr_t addr = reinterpret_cast<uintptr_t>(info->si_addr);
-  if (trap_internal::current_frame() && address_in_guard_region(addr)) {
+  if (trap_internal::current_frame()) {
     // Fault inside a sandbox guard region while sandboxed code was running:
-    // this is the vm_guard bounds check firing.
-    raise_trap(TrapCode::kOutOfBoundsMemory);
+    // the vm_guard bounds check firing, or the sandbox's execution stack
+    // running into its guard page.
+    TrapCode code = guard_region_trap(addr);
+    if (code != TrapCode::kNone) raise_trap(code);
   }
   // Not ours: restore and re-raise so the default crash behavior (and
   // debuggers) see the original fault.
@@ -112,12 +119,13 @@ void segv_handler(int signo, siginfo_t* info, void* ucontext) {
 
 }  // namespace
 
-int register_guard_region(const void* base, size_t len) {
+int register_guard_region(const void* base, size_t len, TrapCode code) {
   std::lock_guard<std::mutex> lock(g_regions_mutex);
   for (int i = 0; i < kMaxGuardRegions; ++i) {
     if (g_regions[i].len.load(std::memory_order_relaxed) == 0) {
       g_regions[i].base.store(reinterpret_cast<uintptr_t>(base),
                               std::memory_order_relaxed);
+      g_regions[i].code.store(code, std::memory_order_relaxed);
       g_regions[i].len.store(len, std::memory_order_release);
       return i;
     }

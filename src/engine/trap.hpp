@@ -5,7 +5,8 @@
 // native code reports them by calling into the runtime which unwinds with
 // siglongjmp. The vm_guard bounds strategy additionally converts SIGSEGV
 // faults that land inside a registered guard region into kOutOfBoundsMemory
-// traps — this is the paper's "virtual memory based bounds management".
+// traps — this is the paper's "virtual memory based bounds management" —
+// and faults on a sandbox stack's guard page into kCallStackExhausted.
 #pragma once
 
 #include <csetjmp>
@@ -81,9 +82,12 @@ bool in_trap_scope();
 // it, not with the OS thread, or interleaved preemption corrupts it.
 TrapFrame* exchange_trap_chain(TrapFrame* frame);
 
-// Registers [base, base+len) as a guard region: SIGSEGV faults inside it are
-// converted to kOutOfBoundsMemory traps. Returns a registration id.
-int register_guard_region(const void* base, size_t len);
+// Registers [base, base+len) as a guard region: SIGSEGV faults inside it,
+// taken while a TrapScope is active, are converted to `code` traps
+// (kOutOfBoundsMemory for linear-memory guards, kCallStackExhausted for a
+// sandbox stack's guard page). Returns a registration id.
+int register_guard_region(const void* base, size_t len,
+                          TrapCode code = TrapCode::kOutOfBoundsMemory);
 void unregister_guard_region(int id);
 
 // Installs the process-wide SIGSEGV/SIGBUS handler (idempotent, thread-safe).

@@ -30,7 +30,8 @@ ExecStack* create_stack(size_t stack_size, size_t guard_size) {
   if (guard_size > 0) {
     ::mprotect(stack->base, guard_size, PROT_NONE);
     engine::install_trap_signal_handler();
-    stack->guard_id = engine::register_guard_region(stack->base, guard_size);
+    stack->guard_id = engine::register_guard_region(
+        stack->base, guard_size, engine::TrapCode::kCallStackExhausted);
   }
   return stack;
 }

@@ -5,8 +5,15 @@
 // bounds, CFI-checked indirect calls, call-stack exhaustion.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cmath>
+#include <cstdlib>
+
+#include "common/file_util.hpp"
+#include "engine/cc_driver.hpp"
+#include "minicc/minicc.hpp"
 #include "test_util.hpp"
 #include "wasm/builder.hpp"
 
@@ -580,6 +587,88 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(BoundsStrategy::kSoftware,
                                          BoundsStrategy::kVmGuard)),
     sledge::testutil::param_name);
+
+// The aot tier's extra options are GCC's: the driver probes the compiler and
+// gives anything else (clang rejects `--param=`) the plain -O2 line.
+class CcDriverTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!cc_available()) GTEST_SKIP() << "no C compiler";
+    auto dir = make_temp_dir("cc-wrapper");
+    ASSERT_TRUE(dir.ok()) << dir.error_message();
+    dir_ = dir.value();
+  }
+  void TearDown() override {
+    ::unsetenv("SLEDGE_CC");
+    for (const std::string& path : scripts_) ::unlink(path.c_str());
+    if (!dir_.empty()) ::rmdir(dir_.c_str());
+  }
+
+  // Installs a `cc` wrapper as SLEDGE_CC that fails on any `--param`
+  // option and otherwise runs `cc`; `pose_as_clang` makes it report
+  // __clang__ to a predefined-macro probe (`-dM`).
+  void use_param_rejecting_cc(const std::string& name, bool pose_as_clang) {
+    std::string script =
+        "#!/bin/sh\n"
+        "for a in \"$@\"; do\n"
+        "  case \"$a\" in --param*) echo \"unknown option $a\" >&2; exit 1;; "
+        "esac\n"
+        "done\n";
+    if (pose_as_clang) {
+      script += "case \" $* \" in *\" -dM \"*) exec cc -D__clang__=1 \"$@\";; "
+                "esac\n";
+    }
+    script += "exec cc \"$@\"\n";
+    const std::string path = dir_ + "/" + name;
+    ASSERT_TRUE(write_file(path, script).is_ok());
+    ASSERT_EQ(::chmod(path.c_str(), 0755), 0);
+    scripts_.push_back(path);
+    ASSERT_EQ(::setenv("SLEDGE_CC", path.c_str(), 1), 0);
+  }
+
+  static Result<WasmModule> load(Tier tier) {
+    auto wasm = minicc::compile_to_wasm(R"(
+int a[8];
+int main() {
+  int s = 0;
+  for (int i = 0; i < 8; i++) { a[i] = i * i; s = s + a[i]; }
+  return s;
+}
+)");
+    EXPECT_TRUE(wasm.ok()) << wasm.error_message();
+    WasmModule::Config cfg;
+    cfg.tier = tier;
+    return WasmModule::load(wasm.value(), cfg);
+  }
+
+  std::string dir_;
+  std::vector<std::string> scripts_;
+};
+
+TEST_F(CcDriverTest, NonGccCompilerStillLoadsAot) {
+  use_param_rejecting_cc("clang-like", /*pose_as_clang=*/true);
+  EXPECT_FALSE(cc_is_gcc());
+  auto mod = load(Tier::kAot);
+  ASSERT_TRUE(mod.ok()) << mod.error_message();
+  auto sb = mod->instantiate();
+  ASSERT_TRUE(sb.ok());
+  auto out = sb->call("main", {});
+  ASSERT_TRUE(out.ok()) << out.describe();
+  EXPECT_EQ(out.value->as_i32(), 140);
+}
+
+TEST_F(CcDriverTest, GccGetsParamsOnlyOnTheAotTier) {
+  if (!cc_is_gcc()) GTEST_SKIP() << "cc is not GCC";
+  // Same wrapper without the clang pose: the probe sees GCC, so the aot
+  // tier passes `--param` (and fails), while aot_o1 stays on plain -O1.
+  use_param_rejecting_cc("gcc-like", /*pose_as_clang=*/false);
+  EXPECT_TRUE(cc_is_gcc());
+  auto aot = load(Tier::kAot);
+  ASSERT_FALSE(aot.ok());
+  EXPECT_NE(aot.error_message().find("--param"), std::string::npos)
+      << aot.error_message();
+  EXPECT_TRUE(load(Tier::kAotO0).ok());
+}
 
 }  // namespace
 }  // namespace sledge::engine

@@ -208,6 +208,57 @@ TEST(RuntimeTest, TrappingFunctionIs500) {
   EXPECT_EQ(rt.totals().failed, 1u);
 }
 
+// Recursion as deep as the request is long. Each frame keeps 48 loaded
+// values live across the recursive call (the Horner chain after it cannot
+// be precomputed), so a frame is far above the 128 B at which 4096 frames
+// fill the 512 KiB sandbox stack.
+std::string deep_recursion_src() {
+  std::string src = "int g[64];\nchar out[1];\nint rec(int n) {\n";
+  src += "  if (n <= 0) return 0;\n";
+  for (int i = 0; i < 48; ++i) {
+    src += "  int a" + std::to_string(i) + " = g[" + std::to_string(i) + "];\n";
+  }
+  src += "  g[n & 63] = n;\n  int r = rec(n - 1);\n";
+  for (int i = 0; i < 48; ++i) {
+    src += "  r = r * 3 + a" + std::to_string(i) + ";\n";
+  }
+  src += "  return r;\n}\n";
+  src += "int main() { rec(req_len()); out[0] = 100; resp_write(out, 1); "
+         "return 0; }\n";
+  return src;
+}
+
+TEST(RuntimeTest, SandboxStackOverflowIsCallStackExhausted) {
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  Runtime rt(cfg);
+  const std::string src = deep_recursion_src();
+  ASSERT_TRUE(rt.register_module("deep", compile(src.c_str())).is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+  int status = 0;
+  // Shallow enough for the stack.
+  auto resp = loadgen::single_request("127.0.0.1", rt.bound_port(), "/deep",
+                                      std::vector<uint8_t>(500, 'x'), &status);
+  ASSERT_TRUE(resp.ok()) << resp.error_message();
+  EXPECT_EQ(status, 200);
+  // Below the guest's 4096-frame call-depth limit, so only the stack's
+  // guard page can stop it: that is stack exhaustion, not an out-of-bounds
+  // memory access.
+  resp = loadgen::single_request("127.0.0.1", rt.bound_port(), "/deep",
+                                 std::vector<uint8_t>(3500, 'x'), &status);
+  ASSERT_TRUE(resp.ok()) << resp.error_message();
+  EXPECT_EQ(status, 500);
+  const std::string body(resp->begin(), resp->end());
+  EXPECT_NE(body.find("call stack exhausted"), std::string::npos) << body;
+  // The worker survives the fault: the stack is reusable afterwards.
+  resp = loadgen::single_request("127.0.0.1", rt.bound_port(), "/deep",
+                                 std::vector<uint8_t>(500, 'x'), &status);
+  ASSERT_TRUE(resp.ok()) << resp.error_message();
+  EXPECT_EQ(status, 200);
+  rt.stop();
+  EXPECT_EQ(rt.totals().failed, 1u);
+}
+
 TEST(RuntimeTest, KeepAliveServesManyRequestsPerConnection) {
   RuntimeConfig cfg;
   cfg.workers = 1;
