@@ -197,12 +197,6 @@ struct BatchLeg {
   uint64_t ok = 0, errors = 0;
 };
 
-double median(std::vector<double> v) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 void run_batch(BatchLeg& leg, int conc, uint64_t batch_reqs) {
   loadgen::Report rep = drive(leg.port, leg.path, leg.body, conc, batch_reqs);
   leg.p50s.push_back(static_cast<double>(rep.latency.percentile_ns(0.5)) /
@@ -389,15 +383,18 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"invoke\",\n"
+               "  \"rev\": \"%s\",\n  \"host_cores\": %u,\n"
+               "  \"mode\": \"%s\",\n"
                "  \"workload\": {\"reqs\": %llu, \"conc\": %d, "
                "\"chained_calls\": %d, \"payload_bytes\": %zu, "
                "\"workers\": 3, \"batches\": %d, "
-               "\"invokes_shm_run\": %llu, \"smoke\": %s},\n"
-               "  \"host_cores\": %u,\n  \"legs\": [\n",
+               "\"invokes_shm_run\": %llu},\n"
+               "  \"legs\": [\n",
+               git_rev().c_str(), std::thread::hardware_concurrency(),
+               smoke ? "smoke" : "full",
                static_cast<unsigned long long>(reqs), conc, calls,
                payload_len, kBatches,
-               static_cast<unsigned long long>(zerocopy_invokes),
-               smoke ? "true" : "false", std::thread::hardware_concurrency());
+               static_cast<unsigned long long>(zerocopy_invokes));
   for (size_t i = 0; i < legs.size(); ++i) {
     const Leg& l = legs[i];
     std::fprintf(f,

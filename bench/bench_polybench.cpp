@@ -14,7 +14,8 @@
 //
 // Iterations: SLEDGE_PB_ITERS (default 5; the paper used 15). Interpreter
 // tiers are capped at SLEDGE_PB_INTERP_ITERS (default 2) to keep the
-// default run short on this single-core host.
+// default run short. Each cell is the median of its iterations, native and
+// Wasm alike, so one slow iteration does not swing a ratio.
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -91,7 +92,7 @@ int main() {
     NativeProgram* native = NativeProgram::load(*src, prefix);
     if (!native) continue;
     native->run();  // warm
-    double native_s = time_mean_s(iters, [&] { native->run(); });
+    double native_s = time_median_s(iters, [&] { native->run(); });
 
     std::printf("%-16s %10.3f", kernel.c_str(), native_s * 1e3);
     std::fflush(stdout);
@@ -121,18 +122,18 @@ int main() {
       }
       int n = rt.is_interp ? std::min(iters, interp_iters) : iters;
       run_wasm_once(sandbox.value());  // warm (faults pages in)
-      double total = 0;
+      std::vector<double> times;
       bool ok = true;
       for (int i = 0; i < n && ok; ++i) {
         double s = run_wasm_once(sandbox.value());
         if (s < 0) ok = false;
-        total += s;
+        times.push_back(s);
       }
       if (!ok) {
         std::printf(" %11s", "TRAP");
         continue;
       }
-      double norm = (total / n) / native_s;
+      double norm = median(std::move(times)) / native_s;
       slowdowns[r].push_back(norm);
       std::printf(" %10.2fx", norm);
       std::fflush(stdout);

@@ -4,9 +4,11 @@
 
 #include <dlfcn.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/native_host.hpp"
@@ -110,12 +112,24 @@ class NativeProgram {
   int32_t (*main_)() = nullptr;
 };
 
-// Times `fn` over `iters` iterations; returns mean seconds per iteration.
+// Median of `v` (the upper middle for an even count); 0 when empty.
+inline double median(std::vector<double> v) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Times `fn` over `iters` iterations; returns the median seconds of one
+// iteration, so a single slow iteration cannot swing the result.
 template <typename Fn>
-double time_mean_s(int iters, Fn&& fn) {
-  Stopwatch sw;
-  for (int i = 0; i < iters; ++i) fn();
-  return static_cast<double>(sw.elapsed_ns()) / 1e9 / iters;
+double time_median_s(int iters, Fn&& fn) {
+  std::vector<double> s;
+  for (int i = 0; i < iters; ++i) {
+    Stopwatch sw;
+    fn();
+    s.push_back(static_cast<double>(sw.elapsed_ns()) / 1e9);
+  }
+  return median(std::move(s));
 }
 
 inline void print_header(const char* title, const char* paper_ref) {

@@ -79,35 +79,43 @@ void AotModule::release() {
   cc_result_ = CcResult{};
 }
 
-Result<AotModule> AotModule::compile(const wasm::Module& module,
-                                     const HostRegistry& hosts,
-                                     const Options& options) {
-  AotModule out;
-  out.module_ = &module;
-  out.options_ = options;
+Result<AotModule::Pending> AotModule::begin_compile(const wasm::Module& module,
+                                                    const HostRegistry& hosts,
+                                                    const Options& options) {
+  Pending out;
+  out.module_.module_ = &module;
+  out.module_.options_ = options;
 
   // Resolve imports up front (same checks as Instance::instantiate).
   for (const wasm::Import& imp : module.imports) {
     const HostBinding* binding = hosts.lookup(imp.module, imp.field);
     if (!binding) {
-      return Result<AotModule>::error("unresolved import " + imp.module + "." +
-                                      imp.field);
+      return Result<Pending>::error("unresolved import " + imp.module + "." +
+                                    imp.field);
     }
     if (!(binding->type == module.types[imp.type_index])) {
-      return Result<AotModule>::error("import type mismatch for " +
-                                      imp.module + "." + imp.field);
+      return Result<Pending>::error("import type mismatch for " + imp.module +
+                                    "." + imp.field);
     }
-    out.imports_.push_back(binding);
+    out.module_.imports_.push_back(binding);
   }
 
   Wasm2COptions w2c;
   w2c.strategy = options.strategy;
   Result<std::string> c_source = wasm_to_c(module, w2c);
-  if (!c_source.ok()) return Result<AotModule>::error(c_source.error_message());
+  if (!c_source.ok()) return Result<Pending>::error(c_source.error_message());
 
   CcOptions cc;
   cc.opt_level = options.opt_level;
-  Result<CcResult> compiled = compile_c_to_so(c_source.value(), cc);
+  Result<CcJob> job = start_compile(c_source.value(), cc);
+  if (!job.ok()) return Result<Pending>::error(job.error_message());
+  out.job_ = job.take();
+  return Result<Pending>(std::move(out));
+}
+
+Result<AotModule> AotModule::Pending::finish() && {
+  AotModule out = std::move(module_);
+  Result<CcResult> compiled = finish_compile(std::move(job_));
   if (!compiled.ok()) return Result<AotModule>::error(compiled.error_message());
   out.cc_result_ = compiled.take();
 

@@ -1,8 +1,10 @@
 // Tier 3 back half: the AoT module loader and instance manager.
 //
-// AotModule::compile performs the expensive pipeline once (translate to C,
-// compile to .so, dlopen, dlsym) — the paper's "heavyweight linking and
-// loading". AotModule::instantiate is the cheap per-request path: allocate
+// AotModule::begin_compile + Pending::finish perform the expensive pipeline
+// once (translate to C, compile to .so, dlopen, dlsym) — the paper's
+// "heavyweight linking and loading". begin_compile() returns once the
+// compiler is forked, so several modules can compile side by side.
+// AotModule::instantiate is the cheap per-request path: allocate
 // linear memory + a small instance block, run the generated initializer.
 // This split is what gives Sledge its microsecond-scale function startup
 // (Table 3 in the paper).
@@ -77,10 +79,14 @@ class AotModule {
   AotModule(const AotModule&) = delete;
   AotModule& operator=(const AotModule&) = delete;
 
-  // `module` and `hosts` must outlive the AotModule.
-  static Result<AotModule> compile(const wasm::Module& module,
-                                   const HostRegistry& hosts,
-                                   const Options& options);
+  class Pending;
+
+  // Resolves the imports, emits the C and forks the compiler on it;
+  // Pending::finish() yields the loaded module. `module` and `hosts` must
+  // outlive the AotModule.
+  static Result<Pending> begin_compile(const wasm::Module& module,
+                                       const HostRegistry& hosts,
+                                       const Options& options);
 
   // `recycled`, when valid, is an already-reset() pooled linear memory used
   // instead of a fresh mapping (the warm-start path).
@@ -93,7 +99,6 @@ class AotModule {
   }
 
   const wasm::Module& module() const { return *module_; }
-  uint64_t compile_ns() const { return cc_result_.compile_ns; }
   int64_t so_size_bytes() const { return cc_result_.so_size; }
   const std::string& so_path() const { return cc_result_.so_path; }
   BoundsStrategy strategy() const { return options_.strategy; }
@@ -112,6 +117,20 @@ class AotModule {
   AotInstInitFn inst_init_ = nullptr;
   AotInvokeFn invoke_ = nullptr;
   const AotDesc* desc_ = nullptr;
+};
+
+// An AotModule whose compiler is still running. Destroying it unfinished
+// waits for the compiler and removes its temp dir (see CcJob).
+class AotModule::Pending {
+ public:
+  // Reaps the compiler, dlopens the .so and resolves its ABI symbols.
+  Result<AotModule> finish() &&;
+
+ private:
+  friend class AotModule;
+
+  AotModule module_;
+  CcJob job_;
 };
 
 }  // namespace sledge::engine

@@ -8,9 +8,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <utility>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "common/file_util.hpp"
 #include "common/log.hpp"
 
@@ -23,16 +23,17 @@ const char* compiler_path() {
   return env && env[0] ? env : "cc";
 }
 
-// fork+exec the compiler with stderr captured to `err_path`.
-Status run_compiler(const std::vector<std::string>& argv,
-                    const std::string& err_path) {
+// fork+exec the compiler with stderr captured to `err_path`; returns the
+// child's pid without waiting for it.
+Result<pid_t> spawn_compiler(const std::vector<std::string>& argv,
+                             const std::string& err_path) {
   std::vector<char*> cargv;
   cargv.reserve(argv.size() + 1);
   for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
   cargv.push_back(nullptr);
 
   pid_t pid = ::fork();
-  if (pid < 0) return Status::error("fork failed");
+  if (pid < 0) return Result<pid_t>::error("fork failed");
   if (pid == 0) {
     // Child: redirect stderr into the capture file.
     FILE* err = std::fopen(err_path.c_str(), "w");
@@ -43,10 +44,21 @@ Status run_compiler(const std::vector<std::string>& argv,
     ::execvp(cargv[0], cargv.data());
     _exit(127);
   }
+  return Result<pid_t>(pid);
+}
+
+int wait_child(pid_t pid) {
   int status = 0;
   while (::waitpid(pid, &status, 0) < 0) {
-    if (errno != EINTR) return Status::error("waitpid failed");
+    if (errno != EINTR) return -1;
   }
+  return status;
+}
+
+// Waits for a spawn_compiler() child; fails unless it exited 0.
+Status reap_compiler(pid_t pid, const std::string& err_path) {
+  int status = wait_child(pid);
+  if (status < 0) return Status::error("waitpid failed");
   if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
     std::string diag;
     auto contents = read_file(err_path);
@@ -58,6 +70,13 @@ Status run_compiler(const std::vector<std::string>& argv,
                          "): " + diag);
   }
   return Status::ok();
+}
+
+Status run_compiler(const std::vector<std::string>& argv,
+                    const std::string& err_path) {
+  Result<pid_t> pid = spawn_compiler(argv, err_path);
+  if (!pid.ok()) return Status::error(pid.error_message());
+  return reap_compiler(pid.value(), err_path);
 }
 
 // True when the configured compiler is GCC proper. clang and other
@@ -122,19 +141,37 @@ bool cc_available() {
   return available;
 }
 
-Result<CcResult> compile_c_to_so(const std::string& c_source,
-                                 const CcOptions& options) {
-  auto dir = make_temp_dir("awsm");
-  if (!dir.ok()) return Result<CcResult>::error(dir.error_message());
+void CcJob::reset() {
+  if (pid_ > 0) wait_child(std::exchange(pid_, -1));
+  if (!debug_keep_) remove_work_dir(result_);
+  result_ = CcResult{};
+}
 
-  CcResult result;
+CcJob& CcJob::operator=(CcJob&& o) noexcept {
+  if (this != &o) {
+    reset();
+    pid_ = std::exchange(o.pid_, -1);
+    result_ = std::exchange(o.result_, CcResult{});
+    debug_keep_ = o.debug_keep_;
+  }
+  return *this;
+}
+
+Result<CcJob> start_compile(const std::string& c_source,
+                            const CcOptions& options) {
+  auto dir = make_temp_dir("awsm");
+  if (!dir.ok()) return Result<CcJob>::error(dir.error_message());
+
+  CcJob job;
+  job.debug_keep_ = options.debug_keep;
+  CcResult& result = job.result_;
   result.work_dir = dir.value();
   std::string c_path = result.work_dir + "/module.c";
   std::string err_path = result.work_dir + "/cc.err";
   result.so_path = result.work_dir + "/module.so";
 
   Status s = write_file(c_path, c_source);
-  if (!s.is_ok()) return Result<CcResult>::error(s.message());
+  if (!s.is_ok()) return Result<CcJob>::error(s.message());
 
   std::vector<std::string> argv = {
       compiler_path(),
@@ -169,15 +206,26 @@ Result<CcResult> compile_c_to_so(const std::string& c_source,
       "-lm",
   });
 
-  Stopwatch sw;
-  s = run_compiler(argv, err_path);
-  if (!s.is_ok()) {
-    if (!options.debug_keep) remove_work_dir(result);
-    return Result<CcResult>::error(s.message());
-  }
-  result.compile_ns = sw.elapsed_ns();
+  Result<pid_t> pid = spawn_compiler(argv, err_path);
+  if (!pid.ok()) return Result<CcJob>::error(pid.error_message());
+  job.pid_ = pid.value();
+  return Result<CcJob>(std::move(job));
+}
+
+Result<CcResult> finish_compile(CcJob job) {
+  const pid_t pid = std::exchange(job.pid_, -1);
+  Status s = reap_compiler(pid, job.result_.work_dir + "/cc.err");
+  if (!s.is_ok()) return Result<CcResult>::error(s.message());
+  CcResult result = std::exchange(job.result_, CcResult{});
   result.so_size = file_size(result.so_path);
   return Result<CcResult>(std::move(result));
+}
+
+Result<CcResult> compile_c_to_so(const std::string& c_source,
+                                 const CcOptions& options) {
+  Result<CcJob> job = start_compile(c_source, options);
+  if (!job.ok()) return Result<CcResult>::error(job.error_message());
+  return finish_compile(job.take());
 }
 
 void remove_work_dir(const CcResult& result) {

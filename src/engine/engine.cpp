@@ -25,24 +25,33 @@ bool tier_needs_cc(Tier tier) {
 Result<WasmModule> WasmModule::load(const std::vector<uint8_t>& wasm_bytes,
                                     const Config& config,
                                     const HostRegistry& hosts) {
-  Stopwatch sw;
-  WasmModule out;
+  Result<PendingLoad> pending = begin_load(wasm_bytes, config, hosts);
+  if (!pending.ok()) return Result<WasmModule>::error(pending.error_message());
+  return pending.take().finish();
+}
+
+Result<WasmModule::PendingLoad> WasmModule::begin_load(
+    const std::vector<uint8_t>& wasm_bytes, const Config& config,
+    const HostRegistry& hosts) {
+  PendingLoad pending;
+  pending.begin_ns_ = now_ns();
+  WasmModule& out = pending.module_;
   out.config_ = config;
   out.hosts_ = &hosts;
 
   Result<wasm::Module> decoded = wasm::decode(wasm_bytes);
-  if (!decoded.ok()) return Result<WasmModule>::error(decoded.error_message());
+  if (!decoded.ok()) return Result<PendingLoad>::error(decoded.error_message());
   out.module_ = std::make_unique<wasm::Module>(decoded.take());
 
   Status valid = wasm::validate(*out.module_);
-  if (!valid.is_ok()) return Result<WasmModule>::error(valid.message());
+  if (!valid.is_ok()) return Result<PendingLoad>::error(valid.message());
 
   switch (config.tier) {
     case Tier::kInterp:
       break;
     case Tier::kInterpFast: {
       Result<FastModule> fast = predecode(*out.module_);
-      if (!fast.ok()) return Result<WasmModule>::error(fast.error_message());
+      if (!fast.ok()) return Result<PendingLoad>::error(fast.error_message());
       out.fast_ = std::make_unique<FastModule>(fast.take());
       break;
     }
@@ -52,14 +61,24 @@ Result<WasmModule> WasmModule::load(const std::vector<uint8_t>& wasm_bytes,
       options.strategy = config.strategy;
       options.opt_level = config.tier == Tier::kAotO0 ? 1 : 2;
       options.default_max_pages = config.default_max_pages;
-      Result<AotModule> aot = AotModule::compile(*out.module_, hosts, options);
-      if (!aot.ok()) return Result<WasmModule>::error(aot.error_message());
-      out.aot_ = std::make_unique<AotModule>(aot.take());
+      Result<AotModule::Pending> aot =
+          AotModule::begin_compile(*out.module_, hosts, options);
+      if (!aot.ok()) return Result<PendingLoad>::error(aot.error_message());
+      pending.aot_ = std::make_unique<AotModule::Pending>(aot.take());
       break;
     }
   }
+  return Result<PendingLoad>(std::move(pending));
+}
 
-  out.load_ns_ = sw.elapsed_ns();
+Result<WasmModule> WasmModule::PendingLoad::finish() && {
+  WasmModule out = std::move(module_);
+  if (aot_) {
+    Result<AotModule> aot = std::move(*aot_).finish();
+    if (!aot.ok()) return Result<WasmModule>::error(aot.error_message());
+    out.aot_ = std::make_unique<AotModule>(aot.take());
+  }
+  out.load_ns_ = now_ns() - begin_ns_;
   return Result<WasmModule>(std::move(out));
 }
 

@@ -3,6 +3,8 @@
 //   WasmModule::load — the once-per-module "heavyweight" path: decode,
 //     validate, and prepare the chosen tier (predecode for the fast
 //     interpreter; translate + cc + dlopen for the AoT tiers).
+//     begin_load() + PendingLoad::finish() split it where the AoT compiler
+//     runs, so a caller can keep several compilers busy at once.
 //   WasmModule::instantiate — the per-request path: a fresh sandbox with its
 //     own linear memory, globals and (for Sledge) request/response context.
 //
@@ -10,7 +12,7 @@
 //   kInterp     classic interpreter        (slow comparator runtimes)
 //   kInterpFast pre-decoded interpreter    (mid-tier comparators)
 //   kAotO0      wasm->C-> cc -O1 .so       (fast-compile/slower-code, Cranelift-like)
-//   kAot        wasm->C-> cc -O3 .so       (aWsm proper)
+//   kAot        wasm->C-> cc -O2 .so       (aWsm proper)
 #pragma once
 
 #include <memory>
@@ -85,10 +87,19 @@ class WasmModule {
   WasmModule(WasmModule&&) noexcept = default;
   WasmModule& operator=(WasmModule&&) noexcept = default;
 
+  class PendingLoad;
+
   static Result<WasmModule> load(const std::vector<uint8_t>& wasm_bytes,
                                  const Config& config,
                                  const HostRegistry& hosts =
                                      default_host_registry());
+  // Everything load() does up to forking the AoT compiler (decode and
+  // validation errors are reported here); PendingLoad::finish() does the
+  // rest. The interpreter tiers are ready at once.
+  static Result<PendingLoad> begin_load(const std::vector<uint8_t>& wasm_bytes,
+                                        const Config& config,
+                                        const HostRegistry& hosts =
+                                            default_host_registry());
 
   // `recycled`, when valid, is a pooled linear memory (already reset() to
   // this module's spec) adopted instead of a fresh per-request mapping.
@@ -121,6 +132,22 @@ class WasmModule {
   std::unique_ptr<FastModule> fast_;    // kInterpFast
   std::unique_ptr<AotModule> aot_;      // kAotO0 / kAot
   uint64_t load_ns_ = 0;
+};
+
+// A WasmModule whose AoT compiler may still be running. Destroying it
+// unfinished waits for the compiler and removes its temp dir.
+class WasmModule::PendingLoad {
+ public:
+  // Reaps the compiler and loads the .so; load_ns() then spans begin_load()
+  // to here.
+  Result<WasmModule> finish() &&;
+
+ private:
+  friend class WasmModule;
+
+  WasmModule module_;
+  std::unique_ptr<AotModule::Pending> aot_;  // null unless an AoT tier
+  uint64_t begin_ns_ = 0;
 };
 
 }  // namespace sledge::engine

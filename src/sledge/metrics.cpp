@@ -149,7 +149,7 @@ const std::vector<Metric>& table() {
       row<&Totals::shed>(kCounter, "shed", "sledge_shed_total", "Requests shed with 503"),
       row<&Totals::shed_deadline>(kCounter, "shed_deadline", "sledge_shed_deadline_total", "Requests rejected 504-early"),
       row<&Totals::preemptions>(kCounter, "preemptions", "sledge_preemptions_total", "Quantum expiries"),
-      row<&Totals::steals>(kCounter, "steals", "sledge_steals_total", "Sandboxes stolen across workers"),
+      row<&Totals::steals>(kCounter, "steals", "sledge_steals_total", "Sandboxes run by a worker other than the one that placed them"),
       row<&Totals::pool_hits>(kCounter, "pool_hits", "sledge_pool_hits_total", "Starts with every resource pooled"),
       row<&Totals::pool_misses>(kCounter, "pool_misses", "sledge_pool_misses_total", "Starts with a fresh allocation"),
       row<&Totals::blocked>(kCounter, "blocked", "sledge_blocked_total", "Parks on an I/O wake condition"),
@@ -171,7 +171,7 @@ const std::vector<Metric>& table() {
       row<&Door::loaned_conns>(kGauge, "loaned_conns", "sledge_listener_loaned_conns", "Connections whose request a sandbox holds"),
       row<&Work::dispatches>(kCounter, "dispatches", "sledge_worker_dispatches_total", "Sandbox dispatches"),
       row<&Work::preemptions>(kCounter, "preemptions", "sledge_worker_preemptions_total", "Quantum expiries"),
-      row<&Work::steals>(kCounter, "steals", "sledge_worker_steals_total", "Sandboxes stolen"),
+      row<&Work::steals>(kCounter, "steals", "sledge_worker_steals_total", "Sandboxes this worker took from another worker's placements"),
       row<&Work::completed>(kCounter, "completed", "sledge_worker_completed_total", "Requests completed"),
       row<&Work::failed>(kCounter, "failed", "sledge_worker_failed_total", "Requests failed"),
       row<&Work::killed>(kCounter, "killed", "sledge_worker_killed_total", "Sandboxes killed at deadline or budget"),

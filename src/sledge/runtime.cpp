@@ -4,7 +4,10 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <thread>
+#include <utility>
 
 #include "common/log.hpp"
 #include "engine/host.hpp"
@@ -66,25 +69,60 @@ Status Runtime::register_module(
     const std::string& name, const std::vector<uint8_t>& wasm_bytes,
     const engine::WasmModule::Config& engine_config,
     const ModuleLimits& limits) {
-  if (modules_.count(name)) {
+  if (modules_.count(name) ||
+      std::any_of(pending_.begin(), pending_.end(),
+                  [&](const PendingModule& p) { return p.name == name; })) {
     return Status::error("module '" + name + "' already registered");
   }
-  Result<engine::WasmModule> mod =
-      engine::WasmModule::load(wasm_bytes, engine_config);
-  if (!mod.ok()) {
-    return Status::error("module '" + name + "': " + mod.error_message());
+  if (running()) {
+    // Workers may look the module up as soon as it is in the registry.
+    Result<engine::WasmModule> mod =
+        engine::WasmModule::load(wasm_bytes, engine_config);
+    if (!mod.ok()) {
+      return Status::error("module '" + name + "': " + mod.error_message());
+    }
+    add_module(name, mod.take(), limits);
+    return Status::ok();
   }
+  // The compilers are separate processes, so the OS runs them side by side;
+  // one per core keeps them from contending.
+  const size_t max_compiles =
+      std::max(1u, std::thread::hardware_concurrency());
+  if (pending_.size() >= max_compiles) settle_oldest();
+  Result<engine::WasmModule::PendingLoad> load =
+      engine::WasmModule::begin_load(wasm_bytes, engine_config);
+  if (!load.ok()) {
+    return Status::error("module '" + name + "': " + load.error_message());
+  }
+  pending_.push_back(PendingModule{name, limits, load.take()});
+  return Status::ok();
+}
+
+void Runtime::add_module(const std::string& name, engine::WasmModule module,
+                         const ModuleLimits& limits) {
   auto loaded = std::make_unique<LoadedModule>();
   loaded->name = name;
-  loaded->module = mod.take();
+  loaded->module = std::move(module);
   loaded->limits = limits;
   total_weight_.fetch_add(limits.tenant_weight == 0 ? 1 : limits.tenant_weight,
                           std::memory_order_acq_rel);
   modules_[name] = std::move(loaded);
-  return Status::ok();
+}
+
+void Runtime::settle_oldest() {
+  PendingModule p = std::move(pending_.front());
+  pending_.pop_front();
+  Result<engine::WasmModule> mod = std::move(p.load).finish();
+  if (!mod.ok()) {
+    if (!build_errors_.empty()) build_errors_ += "; ";
+    build_errors_ += "module '" + p.name + "': " + mod.error_message();
+    return;
+  }
+  add_module(p.name, mod.take(), p.limits);
 }
 
 LoadedModule* Runtime::find_module(const std::string& name) {
+  if (!pending_.empty()) settle_all();
   auto it = modules_.find(name);
   return it == modules_.end() ? nullptr : it->second.get();
 }
@@ -103,6 +141,12 @@ Status Runtime::update_module_limits(const std::string& name,
 
 Status Runtime::start() {
   if (running_.load()) return Status::error("already running");
+  // Every module is loaded before any worker exists. A module that did not
+  // build is left out of the registry, and start() reports it.
+  settle_all();
+  if (!build_errors_.empty()) {
+    return Status::error(std::exchange(build_errors_, std::string()));
+  }
   stopped_listeners_.clear();
   stopped_workers_.clear();
   front_door_ = std::make_unique<FrontDoor>(this);
@@ -316,6 +360,7 @@ void Runtime::place_invoke_child(Sandbox* parent, LoadedModule* mod,
   }
   invokes_.fetch_add(1, std::memory_order_relaxed);
   note_admitted(mod);
+  child->set_placer(parent->owner_worker());
   int bound = distributor_.inject(child.release(), hint);
   // The parent is still running on its worker, so unbound children may
   // need an idle worker.

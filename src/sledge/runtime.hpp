@@ -172,6 +172,14 @@ class Runtime : public InvokeBroker {
   // Heavyweight module registration (decode/validate/AoT-compile/dlopen);
   // never on the request path. Optional per-module engine and limit
   // overrides (ModuleLimits fields left 0 inherit the RuntimeConfig).
+  //
+  // Before start(), registration returns once the module's AoT compiler is
+  // forked, so the compilers of all modules run side by side (at most
+  // hardware_concurrency() at once: past that, the oldest is reaped
+  // first). Decode, validation and import errors are still reported here;
+  // a module that does not compile makes start() fail with its name.
+  // After start(), registration compiles and loads in full before
+  // returning.
   Status register_module(const std::string& name,
                          const std::vector<uint8_t>& wasm_bytes);
   Status register_module(const std::string& name,
@@ -185,13 +193,15 @@ class Runtime : public InvokeBroker {
                          const engine::WasmModule::Config& engine_config,
                          const ModuleLimits& limits);
 
-  // Opens the front door and starts the worker threads. Modules can still
-  // be registered afterwards, but typically are not (the paper loads
-  // modules at startup).
+  // Reaps every pending compile, then opens the front door and starts the
+  // worker threads. Modules can still be registered afterwards, but
+  // typically are not (the paper loads modules at startup).
   Status start();
   void stop();
 
   uint16_t bound_port() const { return bound_port_; }
+  // Reaps pending compiles first, so a module registered before start() is
+  // found once it has loaded.
   LoadedModule* find_module(const std::string& name);
   // Replaces a registered module's limit overrides (deadline, budget,
   // tenant weight). Quiescent-use only: callers must ensure no request for
@@ -392,6 +402,21 @@ class Runtime : public InvokeBroker {
  private:
   friend class Worker;
 
+  // A module registered before start() whose compiler may still run.
+  struct PendingModule {
+    std::string name;
+    ModuleLimits limits;
+    engine::WasmModule::PendingLoad load;
+  };
+  // Moves a loaded module into the registry.
+  void add_module(const std::string& name, engine::WasmModule module,
+                  const ModuleLimits& limits);
+  // Reaps the oldest pending compile; a failure is kept for start().
+  void settle_oldest();
+  void settle_all() {
+    while (!pending_.empty()) settle_oldest();
+  }
+
   // Shared front half of sb_invoke / sb_invoke_stream admission: resolves
   // the module and applies the same admission control as HTTP requests.
   // nullptr = shed (err set); counters already recorded.
@@ -409,6 +434,9 @@ class Runtime : public InvokeBroker {
 
   RuntimeConfig config_;
   std::map<std::string, std::unique_ptr<LoadedModule>> modules_;
+  // Oldest first; empty while running (see register_module).
+  std::deque<PendingModule> pending_;
+  std::string build_errors_;  // failed pending compiles, for start()
   Distributor distributor_;
   AdmissionController admission_;
   std::unique_ptr<FrontDoor> front_door_;

@@ -270,6 +270,11 @@ class Sandbox {
   // blocked); -1 before first dispatch. Single-writer: the owning worker.
   void set_owner_worker(int index) { owner_worker_ = index; }
   int owner_worker() const { return owner_worker_; }
+  // Worker that handed this sandbox to the distributor (the front-door
+  // reader, or the parent's worker for an sb_invoke child); a fetch by any
+  // other worker counts as a steal.
+  void set_placer(int index) { placer_ = index; }
+  int placer() const { return placer_; }
 
   // ---- Deadline enforcement ----
   //
@@ -424,6 +429,7 @@ class Sandbox {
   bool invoke_shm_ = false;
   bool invoke_child_ = false;
   int owner_worker_ = -1;
+  int placer_ = -1;
   uint64_t io_wait_ns_ = 0;
 
   uint64_t budget_ns_ = 0;       // CPU budget (0 = unlimited)

@@ -251,20 +251,23 @@ void Worker::respond(int fd, std::string header, std::vector<uint8_t> body,
 }
 
 void Worker::admit(Sandbox* sb) {
+  sb->set_placer(index_);
   int bound = rt_->distributor().push(sb);
   rt_->wake_for(bound, index_, /*placer_busy=*/policy_->size() > 0);
 }
 
 Sandbox* Worker::next_sandbox() {
   // Dequeueing of new requests is integrated into the scheduling loop
-  // (paper §3.4). Round-robin admits at most one stolen request per
+  // (paper §3.4). Round-robin admits at most one fetched request per
   // iteration so freshly arrived short functions rotate fairly with
   // long-running preempted ones; EDF drains everything available so the
   // deadline comparison sees the full candidate set.
-  Sandbox* stolen = nullptr;
-  while (rt_->distributor().fetch(index_, &stolen)) {
-    stats_.steals.fetch_add(1, std::memory_order_relaxed);
-    policy_->enqueue(stolen);
+  Sandbox* fetched = nullptr;
+  while (rt_->distributor().fetch(index_, &fetched)) {
+    if (fetched->placer() != index_) {
+      stats_.steals.fetch_add(1, std::memory_order_relaxed);
+    }
+    policy_->enqueue(fetched);
     if (!policy_->admit_eagerly()) break;
   }
   return policy_->pick_next();

@@ -65,7 +65,7 @@ class Worker {
   struct Stats {
     std::atomic<uint64_t> dispatches{0};
     std::atomic<uint64_t> preemptions{0};
-    std::atomic<uint64_t> steals{0};
+    std::atomic<uint64_t> steals{0};  // fetches of another worker's placements
     std::atomic<uint64_t> completed{0};
     std::atomic<uint64_t> failed{0};
     std::atomic<uint64_t> killed{0};   // deadline/budget terminations (504)

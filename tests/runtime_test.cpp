@@ -7,11 +7,20 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "apps/workloads.hpp"
+#include "common/file_util.hpp"
+#include "engine/cc_driver.hpp"
 #include "http/http.hpp"
 #include "loadgen/loadgen.hpp"
 #include "minicc/minicc.hpp"
@@ -522,6 +531,229 @@ TEST(RuntimeTest, StatsReportMentionsModules) {
   std::string report = rt.stats_report();
   EXPECT_NE(report.find("ping"), std::string::npos);
   EXPECT_NE(report.find("completed=1"), std::string::npos);
+}
+
+TEST(RuntimeTest, SingleWorkerCountsNoSteals) {
+  // Every request is placed and fetched by the one worker, so none of
+  // them moved between workers.
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  Runtime rt(cfg);
+  ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+  loadgen::Options opt;
+  opt.port = rt.bound_port();
+  opt.path = "/ping";
+  opt.concurrency = 4;
+  opt.total_requests = 100;
+  opt.expect_body = {'p'};
+  auto report = loadgen::run_load(opt);
+  ASSERT_TRUE(report.ok()) << report.error_message();
+  EXPECT_EQ(report->ok, 100u);
+  rt.stop();
+  EXPECT_EQ(rt.totals().completed, 100u);
+  EXPECT_EQ(rt.totals().steals, 0u);
+}
+
+// ---- Module registration: AoT compilers run side by side ----
+
+// Installs a SLEDGE_CC wrapper that logs "start <ns>" and "end <ns>" around
+// a real `cc` build plus a 200 ms sleep, and fails the build of any C source
+// containing `fail_marker_`. TMPDIR points at a private directory, so the
+// test can see every `awsm*` work dir the runtime leaves behind.
+class ParallelCompileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!engine::cc_available()) GTEST_SKIP() << "no C compiler";
+    const char* cc = std::getenv("SLEDGE_CC");
+    real_cc_ = cc && cc[0] ? cc : "cc";
+    const char* tmp = std::getenv("TMPDIR");
+    if (tmp) saved_tmpdir_ = tmp;
+    auto dir = make_temp_dir("parallel-cc");
+    ASSERT_TRUE(dir.ok()) << dir.error_message();
+    dir_ = dir.value();
+    tmp_ = dir_ + "/tmp";
+    log_ = dir_ + "/cc.log";
+    ASSERT_EQ(::mkdir(tmp_.c_str(), 0700), 0);
+    const std::string wrapper = dir_ + "/cc";
+    const std::string script =
+        "#!/bin/sh\n"
+        // The GCC probe (-dM -E) passes straight through, unlogged.
+        "case \" $* \" in *\" -shared \"*) ;; *) exec " + real_cc_ +
+        " \"$@\";; esac\n"
+        "for a in \"$@\"; do case \"$a\" in *.c) src=$a;; esac; done\n"
+        "echo \"start $(date +%s%N)\" >> " + log_ + "\n"
+        "sleep 0.2\n"
+        "if grep -q " + fail_marker_ + " \"$src\"; then rc=1; "
+        "else " + real_cc_ + " \"$@\"; rc=$?; fi\n"
+        "echo \"end $(date +%s%N)\" >> " + log_ + "\n"
+        "exit $rc\n";
+    ASSERT_TRUE(write_file(wrapper, script).is_ok());
+    ASSERT_EQ(::chmod(wrapper.c_str(), 0755), 0);
+    ASSERT_EQ(::setenv("SLEDGE_CC", wrapper.c_str(), 1), 0);
+    ASSERT_EQ(::setenv("TMPDIR", tmp_.c_str(), 1), 0);
+  }
+
+  void TearDown() override {
+    if (real_cc_.empty()) return;  // skipped before touching the env
+    if (real_cc_ == "cc") {
+      ::unsetenv("SLEDGE_CC");
+    } else {
+      ::setenv("SLEDGE_CC", real_cc_.c_str(), 1);
+    }
+    if (saved_tmpdir_.empty()) {
+      ::unsetenv("TMPDIR");
+    } else {
+      ::setenv("TMPDIR", saved_tmpdir_.c_str(), 1);
+    }
+    std::error_code ec;
+    if (!dir_.empty()) std::filesystem::remove_all(dir_, ec);
+  }
+
+  // The wrapper's log as (time, +1 for a start / -1 for an end), in time
+  // order; at equal times an end sorts first.
+  std::vector<std::pair<uint64_t, int>> build_events() const {
+    std::vector<std::pair<uint64_t, int>> events;
+    std::ifstream in(log_);
+    std::string what;
+    uint64_t t = 0;
+    while (in >> what >> t) events.emplace_back(t, what == "start" ? 1 : -1);
+    std::sort(events.begin(), events.end());
+    return events;
+  }
+
+  // The most wrapper builds that were running at one instant.
+  int max_in_flight() const {
+    int now = 0, peak = 0;
+    for (const auto& [time, delta] : build_events()) {
+      peak = std::max(peak, now += delta);
+    }
+    return peak;
+  }
+
+  int builds_started() const {
+    int n = 0;
+    for (const auto& [time, delta] : build_events()) n += delta > 0;
+    return n;
+  }
+
+  // Names in TMPDIR that start with "awsm" (the compilers' work dirs).
+  std::vector<std::string> awsm_dirs() const {
+    std::vector<std::string> out;
+    for (const auto& e : std::filesystem::directory_iterator(tmp_)) {
+      const std::string name = e.path().filename().string();
+      if (name.rfind("awsm", 0) == 0) out.push_back(name);
+    }
+    return out;
+  }
+
+  // True when this process has no child, running or unreaped.
+  static bool no_children() {
+    int status = 0;
+    return ::waitpid(-1, &status, WNOHANG) < 0 && errno == ECHILD;
+  }
+
+  static size_t thread_count() {
+    size_t n = 0;
+    for (const auto& e : std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)e;
+      ++n;
+    }
+    return n;
+  }
+
+  static unsigned cores() {
+    return std::max(1u, std::thread::hardware_concurrency());
+  }
+
+  const std::string fail_marker_ = "424242u";  // how wasm2c emits 424242
+  std::string real_cc_, saved_tmpdir_, dir_, tmp_, log_;
+};
+
+const char* kFailMarkerSrc = R"(
+char out[1];
+int main() { out[0] = 120; resp_write(out, 1); return 424242; }
+)";
+
+TEST_F(ParallelCompileTest, CompilesOfModulesRegisteredBeforeStartOverlap) {
+  if (cores() < 2) GTEST_SKIP() << "one core: compiles cannot overlap";
+  const unsigned n = std::min(cores(), 4u);
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  Runtime rt(cfg);
+  const std::vector<uint8_t> wasm = compile(kPingSrc);
+  for (unsigned i = 0; i < n; ++i) {
+    ASSERT_TRUE(rt.register_module("m" + std::to_string(i), wasm).is_ok());
+  }
+  ASSERT_TRUE(rt.start().is_ok());
+  EXPECT_EQ(builds_started(), static_cast<int>(n));
+  EXPECT_GE(max_in_flight(), 2);
+  for (unsigned i = 0; i < n; ++i) {
+    int status = 0;
+    auto resp = loadgen::single_request("127.0.0.1", rt.bound_port(),
+                                        "/m" + std::to_string(i), {}, &status);
+    ASSERT_TRUE(resp.ok()) << resp.error_message();
+    EXPECT_EQ(status, 200);
+  }
+  rt.stop();
+}
+
+TEST_F(ParallelCompileTest, NoMoreCompilesInFlightThanCores) {
+  const unsigned n = 2 * cores();
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  Runtime rt(cfg);
+  const std::vector<uint8_t> wasm = compile(kPingSrc);
+  for (unsigned i = 0; i < n; ++i) {
+    ASSERT_TRUE(rt.register_module("m" + std::to_string(i), wasm).is_ok());
+  }
+  ASSERT_TRUE(rt.start().is_ok());
+  EXPECT_EQ(builds_started(), static_cast<int>(n));
+  EXPECT_LE(max_in_flight(), static_cast<int>(cores()));
+  for (unsigned i = 0; i < n; ++i) {
+    EXPECT_NE(rt.find_module("m" + std::to_string(i)), nullptr) << i;
+  }
+  rt.stop();
+}
+
+TEST_F(ParallelCompileTest, FailedCompileFailsStartNamingTheModule) {
+  {
+    RuntimeConfig cfg;
+    cfg.workers = 2;
+    Runtime rt(cfg);
+    // Registration returns before the build fails; start() reports it.
+    ASSERT_TRUE(rt.register_module("good", compile(kPingSrc)).is_ok());
+    ASSERT_TRUE(rt.register_module("broken", compile(kFailMarkerSrc)).is_ok());
+    ASSERT_TRUE(rt.register_module("fine", compile(kPingSrc)).is_ok());
+    const size_t threads = thread_count();
+    Status s = rt.start();
+    ASSERT_FALSE(s.is_ok());
+    EXPECT_NE(s.message().find("'broken'"), std::string::npos) << s.message();
+    EXPECT_EQ(s.message().find("'good'"), std::string::npos) << s.message();
+    EXPECT_FALSE(rt.running());
+    EXPECT_EQ(thread_count(), threads);
+    EXPECT_TRUE(no_children());
+    // The failed build's work dir is gone; the two loaded modules keep
+    // theirs (their .so is mapped) until the runtime goes.
+    EXPECT_EQ(awsm_dirs().size(), 2u);
+    EXPECT_EQ(rt.find_module("broken"), nullptr);
+    EXPECT_NE(rt.find_module("good"), nullptr);
+  }
+  EXPECT_TRUE(awsm_dirs().empty());
+}
+
+TEST_F(ParallelCompileTest, DestroyedBeforeStartLeavesNoCompilerBehind) {
+  {
+    RuntimeConfig cfg;
+    Runtime rt(cfg);
+    const std::vector<uint8_t> wasm = compile(kPingSrc);
+    for (const char* name : {"a", "b", "c"}) {
+      ASSERT_TRUE(rt.register_module(name, wasm).is_ok());
+    }
+    EXPECT_FALSE(no_children());  // the compilers are still running
+  }
+  EXPECT_TRUE(no_children());
+  EXPECT_TRUE(awsm_dirs().empty());
 }
 
 }  // namespace
