@@ -143,8 +143,7 @@ const LinearMemory* WasmSandbox::memory() const {
 }
 
 bool WasmSandbox::in_host_call() const {
-  if (aot_.valid()) return aot_.host_depth().in_host();
-  return !instance_ || instance_->host_depth.in_host();
+  return !aot_.valid() || aot_.host_depth().in_host();
 }
 
 InvokeOutcome WasmSandbox::call(const std::string& export_name,

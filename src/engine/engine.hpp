@@ -63,8 +63,9 @@ class WasmSandbox {
   // The sandbox's linear memory, or nullptr for memory-less modules.
   const LinearMemory* memory() const;
 
-  // True unless guest code is running with no engine->host call in
-  // progress (see HostDepth). Async-signal-safe.
+  // True unless AoT guest code is running with no engine->host call in
+  // progress (see HostDepth). Always true on the interpreter tiers, which
+  // allocate inside guest code. Async-signal-safe.
   bool in_host_call() const;
 
  private:

@@ -43,12 +43,14 @@ struct MemView {
   }
 };
 
-// Engine->host call depth of one instance: the number of host frames on top
-// of its guest code. The runtime's quantum handler reads it from a SIGALRM
-// handler on the same thread and preempts only at 0, i.e. inside guest
-// code; host code may hold a lock the scheduler takes next (malloc's, the
-// Distributor's queue mutex). It rests at 1: outside guest code, the
-// engine's own call wrapper included, everything is host code.
+// Engine->host call depth of one AoT instance: the number of host frames on
+// top of its guest code (the interpreters keep none: they allocate inside
+// guest code, so they are never preempted). The runtime's quantum handler
+// reads it from a SIGALRM handler on the same thread and preempts only at
+// 0, i.e. inside guest code; host code may hold a lock the scheduler takes
+// next (malloc's, the Distributor's queue mutex). It rests at 1: outside
+// guest code, the engine's own call wrapper included, everything is host
+// code.
 class HostDepth {
  public:
   bool in_host() const { return depth_ != 0; }

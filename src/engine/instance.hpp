@@ -57,7 +57,6 @@ class Instance {
 
   // Per-request opaque pointer handed to host functions (ServerlessEnv*).
   void* host_user = nullptr;
-  HostDepth host_depth;
 
  private:
   Instance() = default;

@@ -78,12 +78,10 @@ InvokeOutcome Interpreter::invoke(uint32_t func_index,
   TrapFrame frame;
   if (sigsetjmp(frame.env, 1) == 0) {
     TrapScope scope(&frame);
-    inst_.host_depth.enter_guest();
     t = run(func_index, arg_slots.data(), &ret);
   } else {
     t = frame.code;
   }
-  inst_.host_depth.leave_guest();
   if (t != TrapCode::kNone) return InvokeOutcome::trapped(t);
 
   InvokeOutcome out;
@@ -95,7 +93,6 @@ TrapCode Interpreter::call_host(uint32_t import_index, const Slot* args,
                                 Slot* ret) {
   const HostBinding* binding = inst_.import_binding(import_index);
   HostCallCtx ctx{inst_.mem_view(), inst_.host_user};
-  HostDepth::Call in_host(inst_.host_depth);
   Slot r = binding->fn(ctx, args);
   if (!binding->type.results.empty()) *ret = r;
   return TrapCode::kNone;

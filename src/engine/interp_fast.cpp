@@ -38,12 +38,10 @@ InvokeOutcome FastInterpreter::invoke(uint32_t func_index,
   TrapFrame frame;
   if (sigsetjmp(frame.env, 1) == 0) {
     TrapScope scope(&frame);
-    inst_.host_depth.enter_guest();
     t = run(func_index, arg_slots.data(), &ret);
   } else {
     t = frame.code;
   }
-  inst_.host_depth.leave_guest();
   if (t != TrapCode::kNone) return InvokeOutcome::trapped(t);
 
   InvokeOutcome out;
@@ -66,7 +64,6 @@ TrapCode FastInterpreter::run(uint32_t func_index, const Slot* args,
   if (m.is_imported(func_index)) {
     const HostBinding* binding = inst_.import_binding(func_index);
     HostCallCtx ctx{inst_.mem_view(), inst_.host_user};
-    HostDepth::Call in_host(inst_.host_depth);
     Slot r = binding->fn(ctx, args);
     if (!binding->type.results.empty()) *ret = r;
     return TrapCode::kNone;

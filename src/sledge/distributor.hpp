@@ -1,9 +1,9 @@
 // Work distribution: how admitted sandboxes travel from the worker that
 // admitted them (front door or sb_invoke) to the worker core that runs them
-// (paper §3.4). It sits above the per-worker SchedulerPolicy, which orders
-// a worker's *local* runnable set; the Distributor fixes the order in which
-// a worker *receives* work, the policy the order in which it *runs* what it
-// holds. Every DistPolicy composes with every SchedPolicy.
+// (paper §3.4). It sits above each worker's local run queue: the
+// Distributor fixes the order in which a worker *receives* work, the run
+// queue the order in which it *runs* what it holds. Every DistPolicy
+// composes with every SchedPolicy.
 #pragma once
 
 #include <atomic>

@@ -25,6 +25,14 @@ const char* to_string(InvokeDataplane d) {
   return "?";
 }
 
+const char* to_string(SchedPolicy p) {
+  switch (p) {
+    case SchedPolicy::kRoundRobin: return "round_robin";
+    case SchedPolicy::kFifoRunToCompletion: return "fifo";
+  }
+  return "?";
+}
+
 namespace {
 
 // A hinted child only lands on the parent's worker when that worker's
@@ -50,25 +58,19 @@ Runtime::~Runtime() { stop(); }
 
 Status Runtime::register_module(const std::string& name,
                                 const std::vector<uint8_t>& wasm_bytes) {
-  return register_module(name, wasm_bytes, config_.engine, ModuleLimits{});
-}
-
-Status Runtime::register_module(
-    const std::string& name, const std::vector<uint8_t>& wasm_bytes,
-    const engine::WasmModule::Config& engine_config) {
-  return register_module(name, wasm_bytes, engine_config, ModuleLimits{});
+  return register_module(name, wasm_bytes, ModuleLimits{});
 }
 
 Status Runtime::register_module(const std::string& name,
                                 const std::vector<uint8_t>& wasm_bytes,
                                 const ModuleLimits& limits) {
-  return register_module(name, wasm_bytes, config_.engine, limits);
-}
-
-Status Runtime::register_module(
-    const std::string& name, const std::vector<uint8_t>& wasm_bytes,
-    const engine::WasmModule::Config& engine_config,
-    const ModuleLimits& limits) {
+  // The interpreters allocate inside guest code, where a quantum tick may
+  // switch away holding the allocator's lock.
+  if (!engine::tier_needs_cc(config_.engine.tier)) {
+    return Status::error("module '" + name + "': tier " +
+                         engine::to_string(config_.engine.tier) +
+                         " is not served (the runtime serves aot tiers only)");
+  }
   if (modules_.count(name) ||
       std::any_of(pending_.begin(), pending_.end(),
                   [&](const PendingModule& p) { return p.name == name; })) {
@@ -77,7 +79,7 @@ Status Runtime::register_module(
   if (running()) {
     // Workers may look the module up as soon as it is in the registry.
     Result<engine::WasmModule> mod =
-        engine::WasmModule::load(wasm_bytes, engine_config);
+        engine::WasmModule::load(wasm_bytes, config_.engine);
     if (!mod.ok()) {
       return Status::error("module '" + name + "': " + mod.error_message());
     }
@@ -90,7 +92,7 @@ Status Runtime::register_module(
       std::max(1u, std::thread::hardware_concurrency());
   if (pending_.size() >= max_compiles) settle_oldest();
   Result<engine::WasmModule::PendingLoad> load =
-      engine::WasmModule::begin_load(wasm_bytes, engine_config);
+      engine::WasmModule::begin_load(wasm_bytes, config_.engine);
   if (!load.ok()) {
     return Status::error("module '" + name + "': " + load.error_message());
   }

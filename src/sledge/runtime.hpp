@@ -26,7 +26,6 @@
 #include "sledge/distributor.hpp"
 #include "sledge/resource_pool.hpp"
 #include "sledge/sandbox.hpp"
-#include "sledge/scheduler_policy.hpp"
 
 namespace sledge::runtime {
 
@@ -45,6 +44,20 @@ enum class InvokeDataplane : uint8_t { kCopy, kShm };
 
 const char* to_string(InvokeDataplane d);
 
+// Per-worker scheduling over one FIFO run queue (paper §3.4). The two
+// policies differ only in whether the quantum timer may fire:
+//   kRoundRobin          — the paper's default: the timer is armed, and a
+//                          preempted sandbox rotates to the queue's tail.
+//   kFifoRunToCompletion — admission order, no preemption ever: a
+//                          dispatched sandbox keeps the core until it
+//                          completes, blocks, or traps.
+enum class SchedPolicy : uint8_t {
+  kRoundRobin = 0,
+  kFifoRunToCompletion = 1,
+};
+
+const char* to_string(SchedPolicy p);
+
 struct RuntimeConfig {
   uint16_t port = 0;  // 0 = pick a free port (see Runtime::bound_port)
   int workers = 3;
@@ -54,11 +67,13 @@ struct RuntimeConfig {
   DistPolicy policy = DistPolicy::kWorkStealing;
   // Not settable: the end-to-end benchmark still names it (dispatcher.hpp).
   static constexpr DispatchPolicy dispatcher = DispatchPolicy::kWorkStealing;
-  // Per-worker scheduling policy over the local runnable set (the
-  // cross-worker handoff above stays as configured by `policy`). The policy
-  // alone arms the quantum timer; kFifoRunToCompletion never preempts.
+  // Per-worker scheduling over the local run queue (the cross-worker
+  // handoff above stays as configured by `policy`). It alone arms the
+  // quantum timer; kFifoRunToCompletion never preempts.
   SchedPolicy sched = SchedPolicy::kRoundRobin;
-  engine::WasmModule::Config engine;  // default tier/bounds for modules
+  // Tier and bounds strategy of every module. The runtime serves the AoT
+  // tiers only: register_module refuses an interpreter tier.
+  engine::WasmModule::Config engine;
   // Startup tier for sandbox instantiation: cold = fresh memory and stack
   // per request, returned to the OS at teardown (the cold-start ablation),
   // pooled = recycled zeroed memory and stack off the SandboxResourcePool.
@@ -170,8 +185,10 @@ class Runtime : public InvokeBroker {
   Runtime& operator=(const Runtime&) = delete;
 
   // Heavyweight module registration (decode/validate/AoT-compile/dlopen);
-  // never on the request path. Optional per-module engine and limit
-  // overrides (ModuleLimits fields left 0 inherit the RuntimeConfig).
+  // never on the request path. Optional per-module limit overrides
+  // (ModuleLimits fields left 0 inherit the RuntimeConfig). Fails when
+  // `config().engine.tier` is an interpreter tier: those allocate inside
+  // guest code, where the quantum timer may preempt.
   //
   // Before start(), registration returns once the module's AoT compiler is
   // forked, so the compilers of all modules run side by side (at most
@@ -184,13 +201,6 @@ class Runtime : public InvokeBroker {
                          const std::vector<uint8_t>& wasm_bytes);
   Status register_module(const std::string& name,
                          const std::vector<uint8_t>& wasm_bytes,
-                         const engine::WasmModule::Config& engine_config);
-  Status register_module(const std::string& name,
-                         const std::vector<uint8_t>& wasm_bytes,
-                         const ModuleLimits& limits);
-  Status register_module(const std::string& name,
-                         const std::vector<uint8_t>& wasm_bytes,
-                         const engine::WasmModule::Config& engine_config,
                          const ModuleLimits& limits);
 
   // Reaps every pending compile, then opens the front door and starts the

@@ -47,7 +47,8 @@ const char* to_string(SandboxState s);
 //   2. the sandbox is kRunning (not mid-switch to block or complete);
 //   3. no engine->host call is in progress: host code may hold a lock
 //      (malloc's, the Distributor's queue mutex) that the scheduler, on the
-//      same thread, takes next.
+//      same thread, takes next. Interpreter-tier sandboxes never qualify
+//      (WasmSandbox::in_host_call).
 // Anywhere else the tick is dropped and the next one retries.
 inline bool preemptible(uintptr_t sp, const ExecStack& stack,
                         SandboxState state, bool in_host_call) {

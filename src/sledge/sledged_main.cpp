@@ -8,10 +8,9 @@
 //   "workers": 3,
 //   "quantum_us": 5000,
 //   "policy": "work_stealing",   // | "global_lock" | "per_worker"
-//   "scheduler": "round_robin",  // | "fifo" (cooperative) | "edf"
+//   "scheduler": "round_robin",  // | "fifo" (cooperative)
 //   "admission": "depth",        // | "slack" (expected-slack + fair shares)
 //   "instantiation": "pooled",   // | "cold" (fresh memory and stack)
-//   "tier": "aot",               // | "aot_o1" | "interp_fast" | "interp"
 //   "bounds": "vm_guard",        // | "software" | "mpx_sim" | "none"
 //   "budget_us": 0,          // per-request CPU budget; over-budget -> 504
 //   "deadline_us": 0,        // wall-clock deadline from admission -> 504
@@ -31,7 +30,9 @@
 // }
 //
 // Any other key, top level or per module, is an error naming the key.
-// Functions are served at POST /<name>. SIGINT/SIGTERM shut down cleanly.
+// Modules run AoT-compiled (the `aot` tier), so the host needs a C
+// compiler. Functions are served at POST /<name>. SIGINT/SIGTERM shut down
+// cleanly.
 #include <signal.h>
 #include <unistd.h>
 
@@ -70,7 +71,7 @@ Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
   Status keys = check_keys(
       doc,
       {"port", "workers", "quantum_us", "policy", "scheduler", "admission",
-       "instantiation", "tier", "bounds", "budget_us", "deadline_us",
+       "instantiation", "bounds", "budget_us", "deadline_us",
        "max_pending", "drain_grace_ms", "max_sandbox_fds", "max_invoke_depth",
        "invoke_dataplane", "admin_endpoint", "access_log", "modules"},
       "");
@@ -127,8 +128,6 @@ Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
   const std::string& sched = doc["scheduler"].as_string();
   if (sched == "fifo") {
     cfg.sched = runtime::SchedPolicy::kFifoRunToCompletion;
-  } else if (sched == "edf") {
-    cfg.sched = runtime::SchedPolicy::kEdf;
   } else if (sched.empty() || sched == "round_robin" || sched == "rr") {
     cfg.sched = runtime::SchedPolicy::kRoundRobin;
   } else {
@@ -145,19 +144,6 @@ Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
     return Result<runtime::RuntimeConfig>::error("unknown instantiation: " +
                                                  inst);
   }
-  const std::string& tier = doc["tier"].as_string();
-  if (tier == "interp") {
-    cfg.engine.tier = engine::Tier::kInterp;
-  } else if (tier == "interp_fast") {
-    cfg.engine.tier = engine::Tier::kInterpFast;
-  } else if (tier == "aot_o1") {
-    cfg.engine.tier = engine::Tier::kAotO0;
-  } else if (tier.empty() || tier == "aot") {
-    cfg.engine.tier = engine::Tier::kAot;
-  } else {
-    return Result<runtime::RuntimeConfig>::error("unknown tier: " + tier);
-  }
-
   const std::string& bounds = doc["bounds"].as_string();
   if (bounds == "software") {
     cfg.engine.strategy = engine::BoundsStrategy::kSoftware;

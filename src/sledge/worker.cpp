@@ -84,7 +84,7 @@ void install_quantum_handler_once() {
 Worker::Worker(Runtime* rt, int index)
     : rt_(rt),
       index_(index),
-      policy_(SchedulerPolicy::make(rt->config().sched)) {}
+      preempt_(rt->config().sched == SchedPolicy::kRoundRobin) {}
 
 Worker::~Worker() { join(); }
 
@@ -155,7 +155,7 @@ void Worker::thread_main() {
 
   // FIFO run-to-completion never arms the quantum timer: a dispatched
   // sandbox keeps the core until it completes, blocks, or traps.
-  if (policy_->allows_preemption()) {
+  if (preempt_) {
     install_quantum_handler_once();
     setup_timer();
   }
@@ -179,7 +179,7 @@ void Worker::thread_main() {
     door.rearm_accept_if_due(now_ns());
     // Published for the invoke-locality slack check (racy by design: a
     // stale value only mis-places one child, which any worker can steal).
-    backlog_hint_.store(static_cast<uint32_t>(policy_->size()),
+    backlog_hint_.store(static_cast<uint32_t>(run_queue_.size()),
                         std::memory_order_relaxed);
 
     Sandbox* sb = next_sandbox();
@@ -217,7 +217,8 @@ void Worker::thread_main() {
   // connections of responses still being written.
   Sandbox* sb = nullptr;
   while (rt_->distributor().fetch(index_, &sb)) abandon(sb);
-  while (Sandbox* s = policy_->pick_next()) abandon(s);
+  for (Sandbox* s : run_queue_) abandon(s);
+  run_queue_.clear();
   std::vector<Sandbox*> blocked;
   io_loop_.drain_all(&blocked);
   for (Sandbox* s : blocked) abandon(s);
@@ -234,12 +235,9 @@ void Worker::thread_main() {
 }
 
 void Worker::serve_front_door() {
-  // Draining is bounded so a stream of arrivals cannot starve the run queue.
-  constexpr int kMaxDrain = 64;
-  FrontDoor& door = rt_->front_door();
-  for (int n = policy_->admit_eagerly() ? kMaxDrain : 1; n > 0; --n) {
-    if (!door.serve_one(this)) break;
-  }
+  // One fd per iteration, so a stream of arrivals cannot starve the run
+  // queue.
+  rt_->front_door().serve_one(this);
   if (!writes_.empty()) pump_writes();
 }
 
@@ -253,24 +251,25 @@ void Worker::respond(int fd, std::string header, std::vector<uint8_t> body,
 void Worker::admit(Sandbox* sb) {
   sb->set_placer(index_);
   int bound = rt_->distributor().push(sb);
-  rt_->wake_for(bound, index_, /*placer_busy=*/policy_->size() > 0);
+  rt_->wake_for(bound, index_, /*placer_busy=*/!run_queue_.empty());
 }
 
 Sandbox* Worker::next_sandbox() {
   // Dequeueing of new requests is integrated into the scheduling loop
-  // (paper §3.4). Round-robin admits at most one fetched request per
-  // iteration so freshly arrived short functions rotate fairly with
-  // long-running preempted ones; EDF drains everything available so the
-  // deadline comparison sees the full candidate set.
+  // (paper §3.4): at most one fetched request joins the run queue per
+  // iteration, so freshly arrived short functions rotate fairly with
+  // long-running preempted ones.
   Sandbox* fetched = nullptr;
-  while (rt_->distributor().fetch(index_, &fetched)) {
+  if (rt_->distributor().fetch(index_, &fetched)) {
     if (fetched->placer() != index_) {
       stats_.steals.fetch_add(1, std::memory_order_relaxed);
     }
-    policy_->enqueue(fetched);
-    if (!policy_->admit_eagerly()) break;
+    run_queue_.push_back(fetched);
   }
-  return policy_->pick_next();
+  if (run_queue_.empty()) return nullptr;
+  Sandbox* sb = run_queue_.front();
+  run_queue_.pop_front();
+  return sb;
 }
 
 void Worker::dispatch(Sandbox* sb) {
@@ -289,23 +288,22 @@ void Worker::dispatch(Sandbox* sb) {
 
   stats_.dispatches.fetch_add(1, std::memory_order_relaxed);
   sb->set_owner_worker(index_);  // children spawned via sb_invoke ping us
-  const bool preempt = policy_->allows_preemption();
   current_ = sb;
-  if (preempt) arm_timer(sb);
+  if (preempt_) arm_timer(sb);
   sb->dispatch(&sched_ctx_);
-  if (preempt) disarm_timer();
+  if (preempt_) disarm_timer();
   current_ = nullptr;
 
   switch (sb->state()) {
-    case SandboxState::kRunnable:  // preempted: back to the policy queue
-      policy_->enqueue(sb);
+    case SandboxState::kRunnable:  // preempted: rotate to the tail
+      run_queue_.push_back(sb);
       break;
     case SandboxState::kBlocked:
       stats_.blocked.fetch_add(1, std::memory_order_relaxed);
       io_loop_.add_blocked(sb);
       // add_blocked fails open (bad fd, epoll error): the sandbox comes
       // back runnable and the hostcall retries to surface the error.
-      if (sb->state() == SandboxState::kRunnable) policy_->enqueue(sb);
+      if (sb->state() == SandboxState::kRunnable) run_queue_.push_back(sb);
       break;
     case SandboxState::kComplete:
     case SandboxState::kFailed:
@@ -402,7 +400,7 @@ void Worker::abandon(Sandbox* sb) {
 void Worker::admit_woken(std::vector<Sandbox*>* woken) {
   for (Sandbox* sb : *woken) {
     stats_.woken.fetch_add(1, std::memory_order_relaxed);
-    policy_->enqueue(sb);
+    run_queue_.push_back(sb);
   }
   woken->clear();
 }

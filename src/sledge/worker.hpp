@@ -1,19 +1,19 @@
-// A Sledge worker core: a pluggable per-worker scheduling policy (round
-// robin / FIFO run-to-completion / EDF) over sandbox contexts, fused with a
-// per-worker epoll event loop (IoLoop — the libuv-style loop of paper §4)
-// that parks blocked sandboxes on wake conditions (timers, outbound-socket
-// readiness, child-sandbox completion) and sleeps the core when nothing is
-// runnable. The front door's ready set is nested in that loop: between
-// dispatches the worker takes the next ready client connection and serves
-// it itself (front_door.hpp). The quantum timer is only armed when the
-// policy allows preemption.
+// A Sledge worker core: one FIFO run queue of sandbox contexts (paper §3.4),
+// fused with a per-worker epoll event loop (IoLoop — the libuv-style loop
+// of paper §4) that parks blocked sandboxes on wake conditions (timers,
+// outbound-socket readiness, child-sandbox completion) and sleeps the core
+// when nothing is runnable. The front door's ready set is nested in that
+// loop: between dispatches the worker takes the next ready client
+// connection and serves it itself (front_door.hpp). Under round robin the
+// quantum timer preempts the running sandbox, which rotates to the queue's
+// tail; under FIFO the timer is never armed.
 #pragma once
 
 #include <signal.h>
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,7 +22,6 @@
 #include "sledge/context.hpp"
 #include "sledge/io_loop.hpp"
 #include "sledge/sandbox.hpp"
-#include "sledge/scheduler_policy.hpp"
 
 namespace sledge::runtime {
 
@@ -54,10 +53,10 @@ class Worker {
   // placement bound it to (this one fetches next otherwise).
   void admit(Sandbox* sb);
 
-  // Racy snapshot of this worker's runnable backlog (policy queue + the
-  // sandbox on core), refreshed each scheduler iteration. The invoke
-  // locality check reads it to decide whether the parent's worker has
-  // slack for a co-located child.
+  // Racy snapshot of this worker's runnable backlog (the run queue's
+  // length), refreshed each scheduler iteration. The invoke locality check
+  // reads it to decide whether the parent's worker has slack for a
+  // co-located child.
   uint32_t backlog_hint() const {
     return backlog_hint_.load(std::memory_order_relaxed);
   }
@@ -123,9 +122,7 @@ class Worker {
   // Writes what the sockets take; each finished response hands its
   // connection on (FrontDoor::finish), which may queue more responses.
   void pump_writes();
-  // Takes ready front-door fds: one per scheduling iteration, or every
-  // ready one when the EDF policy's deadline order must see the whole
-  // candidate set (admit_eagerly).
+  // Takes at most one ready front-door fd per scheduling iteration.
   void serve_front_door();
   // A flushed (or failed) response: record the response_write phase and
   // append the structured access-log line to the worker-local buffer.
@@ -144,7 +141,11 @@ class Worker {
   Context sched_ctx_;
   Sandbox* current_ = nullptr;
 
-  std::unique_ptr<SchedulerPolicy> policy_;
+  // Runnable sandboxes: fresh admissions, preempted and woken ones, each
+  // pushed at the tail and picked from the head.
+  std::deque<Sandbox*> run_queue_;
+  // Round robin: the quantum timer may preempt. FIFO: never armed.
+  const bool preempt_;
   IoLoop io_loop_;
   std::vector<WriteJob> writes_;
   std::vector<std::pair<int, bool>> finished_;  // pump_writes scratch

@@ -268,15 +268,17 @@ std::vector<uint8_t> compile(const char* src) {
   return wasm.ok() ? wasm.value() : std::vector<uint8_t>{};
 }
 
-TEST(ContextTest, SandboxBlockedInHostCallIsNotPreemptible) {
-  auto wasm = compile(R"(
+const char* kNapSrc = R"(
 char out[1];
 int main() { sleep_ms(1); out[0] = 122; resp_write(out, 1); return 0; }
-)");
+)";
+
+// On the AoT tier the rule's third clause reads the instance's HostDepth.
+TEST(ContextTest, SandboxBlockedInHostCallIsNotPreemptible) {
+  auto wasm = compile(kNapSrc);
   ASSERT_FALSE(wasm.empty());
   engine::WasmModule::Config cfg;
-  cfg.tier = engine::Tier::kInterpFast;
-  cfg.strategy = engine::BoundsStrategy::kSoftware;
+  cfg.tier = engine::Tier::kAot;
   auto mod = engine::WasmModule::load(wasm, cfg);
   ASSERT_TRUE(mod.ok()) << mod.error_message();
   auto sb = Sandbox::create(&mod.value(), {});
@@ -296,6 +298,27 @@ int main() { sleep_ms(1); out[0] = 122; resp_write(out, 1); return 0; }
   EXPECT_FALSE(sb->preemptible(blocked_sp));
   sb->set_state(SandboxState::kBlocked);
 
+  ASSERT_TRUE(run_sandbox_inline(sb.get()).is_ok());
+  EXPECT_EQ(sb->response(), (std::vector<uint8_t>{'z'}));
+}
+
+// The interpreters keep no HostDepth (they allocate inside guest code), so
+// an interpreter-tier sandbox counts as always inside a host call.
+TEST(ContextTest, InterpreterSandboxIsNeverPreemptible) {
+  auto wasm = compile(kNapSrc);
+  ASSERT_FALSE(wasm.empty());
+  engine::WasmModule::Config cfg;
+  cfg.tier = engine::Tier::kInterpFast;
+  cfg.strategy = engine::BoundsStrategy::kSoftware;
+  auto mod = engine::WasmModule::load(wasm, cfg);
+  ASSERT_TRUE(mod.ok()) << mod.error_message();
+  auto sb = Sandbox::create(&mod.value(), {});
+  ASSERT_NE(sb, nullptr);
+  const auto own_sp = reinterpret_cast<uintptr_t>(sb->context()->sp);
+  const SandboxState fresh = sb->state();
+  sb->set_state(SandboxState::kRunning);
+  EXPECT_FALSE(sb->preemptible(own_sp));
+  sb->set_state(fresh);
   ASSERT_TRUE(run_sandbox_inline(sb.get()).is_ok());
   EXPECT_EQ(sb->response(), (std::vector<uint8_t>{'z'}));
 }

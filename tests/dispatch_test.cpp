@@ -182,8 +182,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          DistPolicy::kGlobalLock,
                                          DistPolicy::kPerWorker),
                        ::testing::Values(SchedPolicy::kRoundRobin,
-                                         SchedPolicy::kFifoRunToCompletion,
-                                         SchedPolicy::kEdf)),
+                                         SchedPolicy::kFifoRunToCompletion)),
     [](const auto& info) {
       return std::string(to_string(std::get<0>(info.param))) + "_" +
              to_string(std::get<1>(info.param));
@@ -341,8 +340,11 @@ TEST(SlackAdmissionTest, Early504ConsumesNoSandboxSlot) {
 
 // ---- 2k-request mixed-deadline overload soak ----------------------------
 
-// Work-stealing dispatch + EDF workers + slack admission under a 2k-request
-// two-tenant burst (tight-deadline CPU burner vs. loose-deadline ping).
+// Work-stealing dispatch + round-robin workers + slack admission under a
+// 2k-request two-tenant burst (tight-deadline CPU burner vs. loose-deadline
+// ping). A worker takes one new request per scheduling iteration, so the
+// burner must outlast its quantum for a backlog to build inside the runtime
+// rather than unread in the kernel, where admission cannot see it.
 // Regression contract: the client-observed response codes reconcile
 // EXACTLY with the server's counters — 503s == shed, 504s == killed +
 // shed_deadline, 200s == completed, 500s == failed — i.e. no response is
@@ -350,7 +352,8 @@ TEST(SlackAdmissionTest, Early504ConsumesNoSandboxSlot) {
 TEST(OverloadSoakTest, TwoThousandRequestReconciliation) {
   RuntimeConfig cfg;
   cfg.workers = 3;
-  cfg.sched = SchedPolicy::kEdf;
+  cfg.sched = SchedPolicy::kRoundRobin;
+  cfg.quantum_us = 500;
   cfg.admission = AdmissionPolicy::kExpectedSlack;
   cfg.max_pending = 12;
   Runtime rt(cfg);

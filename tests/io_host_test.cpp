@@ -360,18 +360,16 @@ int main() {
   rt.stop();
 }
 
-// Satellite: blocking semantics under every per-worker scheduling policy.
-// FIFO is run-to-completion on CPU but must still yield the core on I/O;
-// EDF reorders runnable peers around blocked ones. In all three, sleepers
-// must not starve quick requests sharing their single worker.
+// Satellite: blocking semantics under both per-worker scheduling policies.
+// FIFO is run-to-completion on CPU but must still yield the core on I/O. In
+// both, sleepers must not starve quick requests sharing their single
+// worker.
 TEST(IoHostTest, BlockedSandboxesYieldUnderEveryPolicy) {
   for (SchedPolicy sched : {SchedPolicy::kRoundRobin,
-                            SchedPolicy::kFifoRunToCompletion,
-                            SchedPolicy::kEdf}) {
+                            SchedPolicy::kFifoRunToCompletion}) {
     RuntimeConfig cfg;
     cfg.workers = 1;
     cfg.sched = sched;
-    if (sched == SchedPolicy::kEdf) cfg.deadline_ns = 2'000'000'000;
     Runtime rt(cfg);
     ASSERT_TRUE(rt.register_module("sleeper", compile(kSleeperSrc)).is_ok());
     ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());

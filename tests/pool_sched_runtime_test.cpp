@@ -1,9 +1,10 @@
 // Pool + scheduling policy through the full runtime: cross-request
 // isolation under warm reuse (every bounds strategy), cold starts that
-// bypass the pool, EDF ordering under contention, FIFO's no-preemption
-// guarantee, round-robin parity with the seed, guest state that survives
-// preemption bit for bit, and the stats surface. Runs the SIGALRM quantum
-// timer, so not sanitizer-labeled.
+// bypass the pool, FIFO's no-preemption guarantee and admission order,
+// round robin's preemption and its rotation of a preempted sandbox to the
+// queue's tail, guest state that survives preemption bit for bit on every
+// served tier, and the stats surface. Runs the SIGALRM quantum timer, so not
+// sanitizer-labeled.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -42,6 +43,24 @@ int main() {
   return 0;
 }
 )";
+
+// Sleeps 30 ms, then spins a few ms before answering.
+const char* kNapThenSpinSrc = R"(
+int acc[1];
+char out[1];
+int main() {
+  sleep_ms(30);
+  int i = 0;
+  while (i < 5000000) { acc[0] = acc[0] + i; i = i + 1; }
+  out[0] = 110;
+  resp_write(out, 1);
+  return acc[0];
+}
+)";
+
+// Iterations of testutil::spin_src that keep one core busy for well over
+// 100 ms.
+constexpr long long kLongSpin = 200000000;
 
 class PoolSchedTest : public ::testing::Test {
  protected:
@@ -118,75 +137,6 @@ TEST_F(PoolSchedTest, ColdStartsBypassPool) {
   EXPECT_EQ(c.stack_misses, 1u);
 }
 
-// EDF must run the tighter-deadline request first even when it arrives
-// last (the blocker is descheduled at quantum expiry).
-TEST_F(PoolSchedTest, EdfRunsTighterDeadlineFirstUnderContention) {
-  RuntimeConfig cfg;
-  cfg.workers = 1;
-  cfg.sched = SchedPolicy::kEdf;
-  cfg.quantum_us = 2000;
-  Runtime rt(cfg);
-  // The blocker must keep the worker busy for the whole submission window
-  // (its only job is to let loose and tight queue up behind it), so it
-  // spins well past the setup sleeps. Deadlines are far above actual
-  // runtime so nothing is killed, but tight (3 s) must be ordered before
-  // loose (10 s).
-  ASSERT_TRUE(rt.register_module("blocker",
-                                 compile(testutil::spin_src(80000000)))
-                  .is_ok());
-  ModuleLimits tight_limits;
-  tight_limits.deadline_ns = 3'000'000'000;
-  ASSERT_TRUE(rt.register_module("tight",
-                                 compile(testutil::spin_src(20000000)),
-                                 tight_limits)
-                  .is_ok());
-  ModuleLimits loose_limits;
-  loose_limits.deadline_ns = 10'000'000'000;
-  ASSERT_TRUE(rt.register_module("loose",
-                                 compile(testutil::spin_src(20000000)),
-                                 loose_limits)
-                  .is_ok());
-  ASSERT_TRUE(rt.start().is_ok());
-
-  uint64_t tight_end = 0, loose_end = 0;
-  std::thread blocker([&] {
-    int status = 0;
-    auto r = loadgen::single_request("127.0.0.1", rt.bound_port(),
-                                     "/blocker", {}, &status);
-    EXPECT_TRUE(r.ok()) << r.error_message();
-    EXPECT_EQ(status, 200);
-  });
-  // Let the blocker occupy the single worker (admission is counted before
-  // dispatch, so give the worker a moment to actually pick it up), then
-  // queue loose BEFORE tight: completion order must still be tight first.
-  while (rt.inflight() == 0) ::usleep(200);
-  ::usleep(5000);
-  std::thread loose([&] {
-    int status = 0;
-    auto r = loadgen::single_request("127.0.0.1", rt.bound_port(), "/loose",
-                                     {}, &status);
-    loose_end = now_ns();
-    EXPECT_TRUE(r.ok()) << r.error_message();
-    EXPECT_EQ(status, 200);
-  });
-  ::usleep(5000);
-  std::thread tight([&] {
-    int status = 0;
-    auto r = loadgen::single_request("127.0.0.1", rt.bound_port(), "/tight",
-                                     {}, &status);
-    tight_end = now_ns();
-    EXPECT_TRUE(r.ok()) << r.error_message();
-    EXPECT_EQ(status, 200);
-  });
-  blocker.join();
-  loose.join();
-  tight.join();
-  EXPECT_LT(tight_end, loose_end)
-      << "EDF served the looser deadline first";
-  rt.stop();
-  EXPECT_EQ(rt.totals().killed, 0u);
-}
-
 // FIFO run-to-completion: the quantum timer is never armed, so even a long
 // request under a short quantum finishes with zero preemptions and
 // everything still completes.
@@ -254,12 +204,96 @@ TEST_F(PoolSchedTest, RoundRobinStillPreempts) {
   EXPECT_GT(rt.totals().preemptions, 0u);
 }
 
+// The round-robin policy's ordering, checked on the worker's run queue
+// through the runtime.
+class SchedPolicyTest : public PoolSchedTest {};
+
+// Round robin rotates a preempted sandbox to the run queue's tail: pings
+// admitted behind a long spinner on the one worker complete while the
+// spinner still has most of its work left. Were the spinner put back at the
+// head, each ping would wait for it to finish.
+TEST_F(SchedPolicyTest, RoundRobinRotatesPreemptedToTail) {
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  cfg.sched = SchedPolicy::kRoundRobin;
+  cfg.quantum_us = 1000;
+  Runtime rt(cfg);
+  ASSERT_TRUE(
+      rt.register_module("spin", compile(testutil::spin_src(kLongSpin)))
+          .is_ok());
+  ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+
+  uint64_t spin_end = 0;
+  std::thread spinner([&] {
+    int status = 0;
+    (void)loadgen::single_request("127.0.0.1", rt.bound_port(), "/spin", {},
+                                  &status);
+    spin_end = now_ns();
+    EXPECT_EQ(status, 200);
+  });
+  while (rt.inflight() == 0) ::usleep(200);
+  for (int i = 0; i < 3; ++i) {
+    int status = 0;
+    auto r = loadgen::single_request("127.0.0.1", rt.bound_port(), "/ping",
+                                     {}, &status);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(status, 200);
+  }
+  const uint64_t pings_end = now_ns();
+  spinner.join();
+  rt.stop();
+  EXPECT_LT(pings_end, spin_end) << "the pings waited for the spinner";
+  EXPECT_GT(rt.totals().preemptions, 0u);
+}
+
+// FIFO runs its queue in arrival order. Three nappers on the one worker go
+// to sleep in order a, b, c; a long spinner then holds the core (FIFO never
+// preempts) while all three wake, so they queue up behind it in wake order
+// and must complete in that order.
+TEST_F(PoolSchedTest, FifoRunsQueueInArrivalOrder) {
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  cfg.sched = SchedPolicy::kFifoRunToCompletion;
+  Runtime rt(cfg);
+  ASSERT_TRUE(rt.register_module("nap", compile(kNapThenSpinSrc)).is_ok());
+  ASSERT_TRUE(
+      rt.register_module("spin", compile(testutil::spin_src(kLongSpin)))
+          .is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+
+  auto request = [&](const char* path, uint64_t* end) {
+    return std::thread([&rt, path, end] {
+      int status = 0;
+      auto r = loadgen::single_request("127.0.0.1", rt.bound_port(), path, {},
+                                       &status);
+      *end = now_ns();
+      EXPECT_TRUE(r.ok()) << r.error_message();
+      EXPECT_EQ(status, 200);
+    });
+  };
+  uint64_t ends[3] = {0, 0, 0}, spin_end = 0;
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 3; ++i) {
+    clients.push_back(request("/nap", &ends[i]));
+    while (rt.inflight() < i + 1) ::usleep(200);
+    ::usleep(2000);  // napper i is asleep before napper i+1 arrives
+  }
+  clients.push_back(request("/spin", &spin_end));
+  for (std::thread& t : clients) t.join();
+  rt.stop();
+  EXPECT_LT(spin_end, ends[0]) << "a napper woke after the spinner finished";
+  EXPECT_LT(ends[0], ends[1]);
+  EXPECT_LT(ends[1], ends[2]);
+  EXPECT_EQ(rt.totals().preemptions, 0u);
+}
+
 // Preemption is invisible to the guest. CIFAR-10 (a floating-point CNN) is
 // served on 3 workers under a 200 us quantum, so every request is switched
 // out many times at arbitrary guest instructions from inside the SIGALRM
 // handler; each response must match, byte for byte, the same request run to
-// completion under FIFO. This pins the integer, FP and vector state a
-// preemption has to carry across the switch.
+// completion under FIFO, on every tier the runtime serves. This pins the
+// integer, FP and vector state a preemption has to carry across the switch.
 TEST_F(PoolSchedTest, PreemptedCifar10MatchesRunToCompletion) {
   auto wasm = apps::app_wasm("cifar10");
   ASSERT_TRUE(wasm.ok()) << wasm.error_message();
@@ -272,11 +306,13 @@ TEST_F(PoolSchedTest, PreemptedCifar10MatchesRunToCompletion) {
     requests.push_back(std::move(image));
   }
 
-  auto serve = [&](SchedPolicy sched, uint64_t* preemptions) {
+  auto serve = [&](engine::Tier tier, SchedPolicy sched,
+                   uint64_t* preemptions) {
     RuntimeConfig cfg;
     cfg.workers = 3;
     cfg.sched = sched;
     cfg.quantum_us = 200;
+    cfg.engine.tier = tier;
     Runtime rt(cfg);
     EXPECT_TRUE(rt.register_module("cifar10", wasm.value()).is_ok());
     EXPECT_TRUE(rt.start().is_ok());
@@ -299,15 +335,19 @@ TEST_F(PoolSchedTest, PreemptedCifar10MatchesRunToCompletion) {
     return responses;
   };
 
-  uint64_t fifo_preemptions = 0, rr_preemptions = 0;
-  const auto expected =
-      serve(SchedPolicy::kFifoRunToCompletion, &fifo_preemptions);
-  const auto preempted = serve(SchedPolicy::kRoundRobin, &rr_preemptions);
-  EXPECT_EQ(fifo_preemptions, 0u);
-  EXPECT_GT(rr_preemptions, 0u);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_FALSE(expected[i].empty()) << "request " << i;
-    EXPECT_EQ(preempted[i], expected[i]) << "request " << i;
+  for (engine::Tier tier : {engine::Tier::kAot, engine::Tier::kAotO0}) {
+    SCOPED_TRACE(engine::to_string(tier));
+    uint64_t fifo_preemptions = 0, rr_preemptions = 0;
+    const auto expected =
+        serve(tier, SchedPolicy::kFifoRunToCompletion, &fifo_preemptions);
+    const auto preempted =
+        serve(tier, SchedPolicy::kRoundRobin, &rr_preemptions);
+    EXPECT_EQ(fifo_preemptions, 0u);
+    EXPECT_GT(rr_preemptions, 0u);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_FALSE(expected[i].empty()) << "request " << i;
+      EXPECT_EQ(preempted[i], expected[i]) << "request " << i;
+    }
   }
 }
 
@@ -346,7 +386,7 @@ TEST_F(PoolSchedTest, PoolKnobControlsWarmStarts) {
 TEST_F(PoolSchedTest, StatsReportShowsSchedulerAndPool) {
   RuntimeConfig cfg;
   cfg.workers = 1;
-  cfg.sched = SchedPolicy::kEdf;
+  cfg.sched = SchedPolicy::kFifoRunToCompletion;
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
@@ -359,7 +399,7 @@ TEST_F(PoolSchedTest, StatsReportShowsSchedulerAndPool) {
   }
   rt.stop();
   std::string report = rt.stats_report();
-  EXPECT_NE(report.find("sched=edf"), std::string::npos) << report;
+  EXPECT_NE(report.find("sched=fifo"), std::string::npos) << report;
   EXPECT_NE(report.find(" pool_hits="), std::string::npos) << report;
   EXPECT_NE(report.find(" startup_pooled(n="), std::string::npos) << report;
 }

@@ -295,6 +295,33 @@ TEST(RuntimeTest, DuplicateModuleRejected) {
   EXPECT_FALSE(rt.register_module("x", compile(kPingSrc)).is_ok());
 }
 
+// The runtime serves the AoT tiers only: the interpreters allocate inside
+// guest code, where a quantum tick may switch away holding the allocator's
+// lock. Registering under an interpreter tier fails naming the tier and
+// registers nothing, and the runtime still starts (serving no module).
+TEST(RuntimeTest, RefusesInterpreterTiers) {
+  for (engine::Tier tier : {engine::Tier::kInterp, engine::Tier::kInterpFast}) {
+    SCOPED_TRACE(engine::to_string(tier));
+    RuntimeConfig cfg;
+    cfg.workers = 1;
+    cfg.engine.tier = tier;
+    Runtime rt(cfg);
+    Status s = rt.register_module("ping", compile(kPingSrc));
+    ASSERT_FALSE(s.is_ok());
+    EXPECT_NE(s.message().find(std::string("tier ") + engine::to_string(tier)),
+              std::string::npos)
+        << s.message();
+    ASSERT_TRUE(rt.start().is_ok());
+    EXPECT_TRUE(rt.snapshot().modules.empty());
+    int status = 0;
+    auto resp = loadgen::single_request("127.0.0.1", rt.bound_port(), "/ping",
+                                        {}, &status);
+    ASSERT_TRUE(resp.ok()) << resp.error_message();
+    EXPECT_EQ(status, 404);
+    rt.stop();
+  }
+}
+
 TEST(RuntimeTest, InvalidModuleRejected) {
   RuntimeConfig cfg;
   Runtime rt(cfg);
